@@ -18,7 +18,7 @@ import numpy as np
 from repro.platforms import zcu102
 from repro.platforms.timing import CostTable
 from repro.runtime.task import Task
-from repro.sched import make_scheduler
+from repro.sched import SCHEDULERS
 
 #: ready-queue shapes drawn from the paper workloads (radar + comms mix):
 #: a handful of distinct (api, params) rows, repeated across many tasks -
@@ -47,7 +47,7 @@ def _round_harness(depth: int, scheduler_name: str):
     """(run callable, events per call) timing one full scheduling round."""
     platform = zcu102(n_cpu=3, n_fft=1).build(seed=0)
     table = CostTable(platform.timing, platform.pes)
-    scheduler = make_scheduler(scheduler_name)
+    scheduler = SCHEDULERS.create(scheduler_name)
     ready = _ready_batch(depth)
     pes = platform.pes
 

@@ -4,17 +4,15 @@ The Fig. 10 sweeps bound what one *frame* costs; this bench bounds what a
 *campaign* costs: a fig10-style pool of pinned worker threads (CEDR pins
 its workers to cores) grinding compute segments until the engine has
 dispatched ``REPRO_SOAK_EVENTS`` events (default one million), plus a
-timer-heavy variant that pushes the same order of magnitude of ``call_at``
-traffic through the calendar-queue wheel, straddling its horizon so
-buckets, cursor clamps, overflow spills, and rotations all run at scale.
+timer-heavy variant that pushes a tenth as much sleep traffic through the
+timer queue alongside a far-future metronome, so same-instant batch drains
+run at scale against a standing backlog of later timers.
 
 The throughput assertion rides the ``check_throughput`` fixture against
 the ``soak_event_throughput`` entry in ``baseline.json``: the soak rate
-must beat the PR-1 engine figure (497k events/s) by 2x.  A second compute
-soak runs the same campaign through the flat SoA loop
-(``core_impl="flat"``) against the ``soak_event_throughput_flat`` entry.
-CI smoke-runs 100k-event variants of both with ``REPRO_PERF_CHECK=0``
-(shape only, no ratio).
+must beat the 497k events/s engine figure recorded before the soak
+existed by 2x.  CI smoke-runs 100k-event variants with
+``REPRO_PERF_CHECK=0`` (shape only, no ratio).
 
 Env overrides:
 
@@ -33,9 +31,9 @@ SOAK_THREADS = 16
 SOAK_CORES = 4
 
 
-def _soak_run(core_impl: str = "objects") -> int:
+def _soak_run() -> int:
     """One soak campaign; returns the engine's dispatch-event count."""
-    eng = Engine(cores=SOAK_CORES, core_impl=core_impl)
+    eng = Engine(cores=SOAK_CORES)
     segments = SOAK_EVENTS // SOAK_THREADS
     # Requests are immutable value objects, so each worker reuses one
     # Compute - the bench then times the event core, not the allocator.
@@ -52,45 +50,31 @@ def _soak_run(core_impl: str = "objects") -> int:
 
 
 def test_soak_million_event_throughput(benchmark, check_throughput):
-    """>= 1M events through pinned compute workers, 2x the PR-1 rate."""
+    """>= 1M events through pinned compute workers, 2x the recorded rate."""
     events = benchmark.pedantic(_soak_run, rounds=3, iterations=1)
     assert events >= SOAK_EVENTS
     check_throughput("soak_event_throughput", benchmark, events)
 
 
-def test_soak_million_event_throughput_flat(benchmark, check_throughput):
-    """The same soak through the flat SoA loop (``core_impl="flat"``).
-
-    Proven bit-identical to the object loop elsewhere; here it must beat
-    the object loop's *recorded* rate (see the ``soak_event_throughput_
-    flat`` baseline entry for the honest same-window comparison numbers).
-    """
-    events = benchmark.pedantic(
-        _soak_run, args=("flat",), rounds=3, iterations=1
-    )
-    assert events >= SOAK_EVENTS
-    check_throughput("soak_event_throughput_flat", benchmark, events)
-
-
-def test_soak_timer_wheel_mix(benchmark):
+def test_soak_timer_mix(benchmark):
     """Timer-dominated soak: sleeps + far-future timers at 1/10 scale.
 
-    Every sleeping thread parks in the timer queue each round-trip, and a
-    metronome seeds timers beyond the wheel horizon, so the run exercises
-    bucket pops, same-instant batch drains, overflow spills, and
-    rotations.  Asserted on the event-core stats, not a rate floor - the
-    compute soak above carries the throughput criterion.
+    Every sleeping thread parks in the timer queue each round-trip while a
+    metronome keeps 64 far-future timers pending, so the run exercises
+    same-instant batch drains over a standing backlog.  Asserted on the
+    timer-queue stats, not a rate floor - the compute soak above carries
+    the throughput criterion.
     """
 
     def run():
         eng = Engine(cores=SOAK_CORES)
         n_timers = max(SOAK_EVENTS // 10, 1000)
         per_thread = n_timers // SOAK_THREADS
-        nap = Sleep(5e-6)  # sub-horizon: lands in wheel buckets
+        nap = Sleep(5e-6)
         fired = []
 
-        # far-future metronome: timers beyond the ~5 ms horizon, forcing
-        # overflow spills now and rotations as the clock reaches them
+        # far-future metronome: pending from the start, each fires long
+        # after thousands of nearer sleep timers have come and gone
         for k in range(64):
             eng.call_at(0.05 + k * 0.01, lambda: fired.append(eng.now))
 
@@ -105,10 +89,10 @@ def test_soak_timer_wheel_mix(benchmark):
 
     eng, metronome_fired = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = eng.event_core_stats()
-    assert stats["kind"] == "wheel"
     assert metronome_fired == 64
     assert stats["timers_fired"] >= SOAK_EVENTS // 10
-    assert stats["overflow_spills"] >= 64       # the metronome spilled
-    assert stats["occupancy_hwm"] >= SOAK_THREADS
+    assert stats["pending"] == 0
+    # every sleeper parked at once on top of the whole metronome backlog
+    assert stats["occupancy_hwm"] >= SOAK_THREADS + 64 - 1
     # same-instant batching: 16 identical sleeps per instant drain together
     assert stats["mean_batch"] > 4.0

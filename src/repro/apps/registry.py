@@ -1,9 +1,8 @@
 """Application registry: named constructors for the benchmark apps.
 
-The CLI historically hard-wired its app table (``APP_FACTORIES``) with
-run-sized defaults (small batches keep ``repro run`` snappy); this module
-is that table as a :class:`repro.registry.Registry`, shared by the CLI,
-the scenario layer, and ``repro list``.  Names are case-insensitive and
+This module is the app table, with run-sized defaults (small batches keep
+``repro run`` snappy), as a :class:`repro.registry.Registry` shared by the
+CLI, the scenario layer, and ``repro list``.  Names are case-insensitive and
 canonically UPPERCASE (``pd`` == ``PD``).  Factories accept keyword
 overrides, so a scenario spec can say ``{name = "PD", batch = 16}`` and
 get a bigger radar batch than the CLI default.

@@ -58,8 +58,6 @@ class PerfCounters:
     wall_seconds: float = 0.0
 
     # -- simulator event core (repro.simcore timer queue) ----------------- #
-    #: which timer-queue implementation the engine ran on ("wheel"/"heap").
-    event_core: str = ""
     #: ``call_at`` timestamps in the past, clamped to now (late timers).
     late_timers: int = 0
     #: timers fired across the run (separate from dispatch events).
@@ -70,9 +68,6 @@ class PerfCounters:
     timer_mean_batch: float = 0.0
     #: high-water mark of timers pending in the queue at once.
     timer_occupancy_hwm: int = 0
-    #: pushes that landed beyond the wheel horizon, into the overflow heap
-    #: (always 0 on the heap event core).
-    overflow_spills: int = 0
 
     # -- fault injection + recovery (repro.faults) ------------------------ #
     #: faults applied by the injector, total and per fault kind.
@@ -124,13 +119,11 @@ class PerfCounters:
         """Absorb :meth:`repro.simcore.Engine.event_core_stats` output."""
         if not self.enabled:
             return
-        self.event_core = stats.get("kind", "")
         self.late_timers = stats.get("late_timers", 0)
         self.timers_fired = stats.get("timers_fired", 0)
         self.timer_drain_batches = stats.get("drain_batches", 0)
         self.timer_mean_batch = stats.get("mean_batch", 0.0)
         self.timer_occupancy_hwm = stats.get("occupancy_hwm", 0)
-        self.overflow_spills = stats.get("overflow_spills", 0)
 
     def record_fault(self, kind: str) -> None:
         if self.telemetry is not None:
@@ -218,13 +211,11 @@ class PerfCounters:
             "wall_seconds": self.wall_seconds,
             "events_per_wall_sec": self.events_per_wall_sec,
             "event_core": {
-                "kind": self.event_core,
                 "late_timers": self.late_timers,
                 "timers_fired": self.timers_fired,
                 "drain_batches": self.timer_drain_batches,
                 "mean_batch": self.timer_mean_batch,
                 "occupancy_hwm": self.timer_occupancy_hwm,
-                "overflow_spills": self.overflow_spills,
             },
             "faults": {
                 "injected": self.faults_injected,

@@ -25,7 +25,6 @@ falls back to the scalar reference path with identical results.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ __all__ = [
     "free_vector",
     "greedy_earliest_finish",
     "register_scheduler",
-    "make_scheduler",
     "available_schedulers",
 ]
 
@@ -255,22 +253,6 @@ def register_scheduler(cls: type[Scheduler]) -> type[Scheduler]:
     """Class decorator adding a heuristic to the runtime's registry."""
     SCHEDULERS.register(cls.name, cls)
     return cls
-
-
-def make_scheduler(name: str, **kwargs) -> Scheduler:
-    """Deprecated: use ``SCHEDULERS.create(name, ...)``.
-
-    Kept as a thin shim so pre-registry figure modules and user code keep
-    working; the lookup (case-insensitive, unknown names raise a
-    ``KeyError``-compatible error) is unchanged.
-    """
-    warnings.warn(
-        "make_scheduler() is deprecated; use "
-        "repro.sched.SCHEDULERS.create(name, ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return SCHEDULERS.create(name, **kwargs)
 
 
 def available_schedulers() -> list[str]:

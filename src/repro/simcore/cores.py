@@ -64,20 +64,15 @@ def completion_instant(core: "Core", now: float) -> Optional[float]:
     """Absolute wall-clock instant of *core*'s earliest completion, or None.
 
     The one authoritative copy of the virtual-time -> wall-time conversion:
-    ``Core.completion_at``, ``CompletionIndex.refresh``, and the flat-core
-    fast path (:mod:`repro.simcore.flatcore`) all derive their instants from
-    this formula, so the mirrors cannot drift.  The float operations (the
-    ``k``-share rate product, then one subtraction, one division, one
-    addition - in that order) are the bit-identity contract: every caller
-    that inlines this for speed must preserve the exact op order.
+    ``Core.completion_at`` and ``CompletionIndex.refresh`` both derive their
+    instants from it.  The float operations (the per-thread rate from
+    :meth:`Core._per_thread_rate`, then one subtraction, one division, one
+    addition - in that order) are the bit-identity contract.
     """
     heap = core._finish_heap
-    n = len(heap)
-    if not n:
+    if not heap:
         return None
-    k = n + core._spinners
-    rate = core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
-    return now + (heap[0][0] - core._virtual) / rate
+    return now + (heap[0][0] - core._virtual) / core._per_thread_rate()
 
 
 class Core:
@@ -120,7 +115,6 @@ class Core:
         "_completion_dirty",
         "_cidx",
         "_cpos",
-        "_flat_min",
     )
 
     def __init__(
@@ -162,11 +156,6 @@ class Core:
         #: protocol described on :meth:`completion_at`.
         self._cidx: Optional["CompletionIndex"] = None
         self._cpos = 0
-        #: flat-core scratch: min pending finish virtual, maintained only
-        #: while :func:`repro.simcore.flatcore.flat_run` is driving this
-        #: core (its pending list is unordered there, so the heap head
-        #: lives here); meaningless - and recomputed on entry - otherwise.
-        self._flat_min = math.inf
 
     # identity semantics: cores are placed in dicts/sets by the engine
     # (plain object hash/eq - no overrides needed on a non-dataclass)
@@ -201,8 +190,7 @@ class Core:
         thread migrating onto a core occupied by a spinning CEDR worker
         really does land in a contended slot, which is why the 3-core
         ZCU102 squeezes application threads while the Jetson's spare cores
-        do not (paper Figs 6 vs 8).  Derived live from the finish heap, so
-        it is correct even mid-batch inside the flat-core fast path."""
+        do not (paper Figs 6 vs 8).  Derived live from the finish heap."""
         return len(self._finish_heap) + self._spinners
 
     @property
@@ -236,7 +224,12 @@ class Core:
     def _per_thread_rate(self) -> float:
         """Dedicated-work seconds delivered per wall second to each of the
         ``k`` runnable threads, including busy-polling spinners in the share
-        count and the context-switch penalty."""
+        count and the context-switch penalty.
+
+        The one place this module computes the processor-sharing rate
+        ``speed / (k * (1 + cs_alpha * (k - 1)))``; the engine's inlined
+        advance loop mirrors it with the same float ops in the same order.
+        """
         k = len(self._finish_heap) + self._spinners
         return self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
 
@@ -279,8 +272,7 @@ class Core:
                 # power) even with no work item in flight
                 self.busy_time += dt
             return []
-        k = n + self._spinners
-        rate = self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
+        rate = self._per_thread_rate()
         virtual = self._virtual + dt * rate
         self._virtual = virtual
         self.delivered += dt * rate * n

@@ -1,8 +1,8 @@
 """Event-driven simulation engine with processor-sharing cores.
 
-The engine owns the virtual clock, a pluggable timer queue (the *event
-core*), the set of CPU cores, and a dispatch queue of threads runnable
-*right now*.  Its main loop alternates two phases:
+The engine owns the virtual clock, a timer queue, the set of CPU cores, and
+a dispatch queue of threads runnable *right now*.  Its main loop alternates
+two phases:
 
 1. **Dispatch** - resume every ready thread at the current instant, handling
    the request each one yields (compute, sleep, block, device use, ...).
@@ -15,17 +15,13 @@ core*), the set of CPU cores, and a dispatch queue of threads runnable
    instant from inside a callback join the same drain) before any woken
    thread dispatches.
 
-Two structures keep both phases amortized O(1) per event at million-task
-scale (docs/INTERNALS.md, "Event core"):
+Two structures keep the per-iteration bookkeeping cheap (docs/INTERNALS.md,
+"The event core"):
 
-* timers live in a :mod:`~repro.simcore.timerwheel` queue - the default
-  calendar-queue wheel buckets the near future so pushes and same-instant
-  batch pops do not pay an O(log n) heap sift against far-future arrival
-  timers; ``event_core="heap"`` (or ``$REPRO_EVENT_CORE``) selects the
-  original global heap, kept bit-identical as the differential reference.
-  The earliest pending ``when`` is additionally tracked in
-  ``_timer_next`` (exact min maintenance on push/pop/cancel), so the main
-  loop reads it without touching the queue at all.
+* timers live in a :class:`~repro.simcore.timers.HeapTimerQueue`, and the
+  earliest pending ``when`` is additionally tracked in ``_timer_next``
+  (exact min maintenance on push/pop/cancel), so the main loop reads it
+  without touching the queue at all.
 * compute completions are mirrored in a
   :class:`~repro.simcore.cores.CompletionIndex`: each core caches the
   absolute instant of its earliest completion and pushes its position on
@@ -37,7 +33,6 @@ scale (docs/INTERNALS.md, "Event core"):
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional, Sequence
@@ -56,22 +51,14 @@ from .process import (
     Yield,
 )
 from .rng import make_rng
-from .timerwheel import DEFAULT_EVENT_CORE, TimerEntry, make_timer_queue
+from .timers import HeapTimerQueue, TimerEntry
 
-__all__ = ["Engine", "CORE_IMPLS", "DEFAULT_CORE_IMPL"]
+__all__ = ["Engine"]
 
 #: same-instant tolerance: timers within this window of the reached instant
 #: fire in the current drain (absorbs float round-off between a completion
 #: instant and a timer deadline computed from the same arithmetic).
 _INSTANT_EPSILON = 1e-15
-
-#: selectable main-loop implementations (``Engine(core_impl=...)``,
-#: ``$REPRO_CORE_IMPL``, ``repro run --core-impl``).  "objects" is the
-#: per-object reference loop below; "flat" is the fused structure-of-arrays
-#: fast path in :mod:`repro.simcore.flatcore`, proven bit-identical by the
-#: differential oracle's ``core_impl`` variant.
-CORE_IMPLS = ("objects", "flat")
-DEFAULT_CORE_IMPL = "objects"
 
 
 def _core_index(core: Core) -> int:
@@ -89,31 +76,14 @@ class Engine:
     seed:
         Seed for the engine-owned root RNG; subsystems derive child streams
         from it so whole experiments are reproducible bit-for-bit.
-    event_core:
-        Timer-queue implementation: ``"wheel"`` (calendar-queue timer
-        wheel, the default) or ``"heap"`` (the original global binary
-        heap, kept as the differential reference).  ``None`` reads
-        ``$REPRO_EVENT_CORE`` before falling back to the default.  Both
-        produce bit-identical schedules (``repro audit diff --variants
-        event_core`` is the enforcing oracle).
-    core_impl:
-        Main-loop implementation: ``"objects"`` (the per-object reference
-        loop in this module, the default) or ``"flat"`` (the fused
-        structure-of-arrays fast path in :mod:`repro.simcore.flatcore`).
-        ``None`` reads ``$REPRO_CORE_IMPL`` before falling back to the
-        default.  Both produce bit-identical results (``repro audit diff
-        --variants core_impl`` is the enforcing oracle); the flat loop
-        elides *mid-batch* thread-state churn, see INTERNALS "The flat
-        core" for the exact observability contract.
     """
 
-    def __init__(
-        self,
-        cores: int | Sequence[Core] = 1,
-        seed: int = 0,
-        event_core: Optional[str] = None,
-        core_impl: Optional[str] = None,
-    ) -> None:
+    #: the timer queue and main loop this engine runs (fixed; kept as
+    #: constants so run records can name the engine they measured).
+    event_core = "heap"
+    core_impl = "objects"
+
+    def __init__(self, cores: int | Sequence[Core] = 1, seed: int = 0) -> None:
         if isinstance(cores, int):
             if cores < 1:
                 raise SimStateError("engine needs at least one core")
@@ -133,21 +103,7 @@ class Engine:
         self.current: Optional[SimThread] = None
         self.threads: list[SimThread] = []
         self._ready: deque[tuple[SimThread, Any]] = deque()
-        if event_core is None:
-            event_core = os.environ.get("REPRO_EVENT_CORE", DEFAULT_EVENT_CORE)
-        self._timerq = make_timer_queue(event_core, now=0.0)
-        if core_impl is None:
-            core_impl = os.environ.get("REPRO_CORE_IMPL", DEFAULT_CORE_IMPL)
-        if core_impl not in CORE_IMPLS:
-            raise SimStateError(
-                f"unknown core_impl {core_impl!r}; expected one of {sorted(CORE_IMPLS)}"
-            )
-        #: main-loop implementation ("objects" reference loop vs the fused
-        #: "flat" fast path).  Switchable between ``run()`` calls via
-        #: :meth:`set_core_impl`: the flat loop restores the object-engine
-        #: tuple-heap representation at every exit, so the choice only
-        #: matters while a ``run()`` is executing.
-        self.core_impl = core_impl
+        self._timerq = HeapTimerQueue()
         #: exact earliest pending timer instant (None = no live timers);
         #: maintained on every push/drain/cancel so the main loop never
         #: pays a queue peek just to decide the next event.
@@ -195,46 +151,6 @@ class Engine:
         self.threads.append(thread)
         self._ready.append((thread, None))
         return thread
-
-    # ------------------------------------------------------------------ #
-    # event core selection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def event_core(self) -> str:
-        """The active timer-queue kind (``"wheel"`` or ``"heap"``)."""
-        return self._timerq.kind
-
-    def set_event_core(self, kind: str) -> None:
-        """Swap the timer queue for *kind*, migrating pending entries.
-
-        Entries keep their ``(when, seq)`` identity, so pop order - and
-        therefore every downstream result - is unchanged by the swap.
-        Timer handles issued before the swap go stale (they reference the
-        old queue) and must not be cancelled afterwards; the runtime swaps
-        only at construction, before any handle exists.
-        """
-        if kind == self._timerq.kind:
-            return
-        new = make_timer_queue(kind, now=self.now)
-        for when, seq, callback in self._timerq.entries():
-            new.push(when, seq, callback)
-        self._timerq = new
-        self._timer_next = new.peek()
-
-    def set_core_impl(self, kind: str) -> None:
-        """Select the main-loop implementation for subsequent ``run()`` calls.
-
-        Safe between runs: the flat loop's epilogue restores the exact
-        object-engine representation (sorted tuple heaps, synced per-core
-        sequence counters) at every exit, normal or exceptional, so the
-        two loops may be interleaved freely on one engine.
-        """
-        if kind not in CORE_IMPLS:
-            raise SimStateError(
-                f"unknown core_impl {kind!r}; expected one of {sorted(CORE_IMPLS)}"
-            )
-        self.core_impl = kind
 
     def event_core_stats(self) -> dict:
         """Event-core observability snapshot (``run --perf-json``)."""
@@ -428,10 +344,6 @@ class Engine:
         are still blocked raises :class:`SimDeadlock` - a clean experiment
         must shut its runtime down so every thread finishes.
         """
-        if self.core_impl == "flat":
-            from .flatcore import flat_run
-
-            return flat_run(self, until, strict)
         ready = self._ready
         timerq = self._timerq
         completions = self._completions
@@ -546,7 +458,7 @@ class Engine:
             # Batched same-instant drain: every timer due at the reached
             # instant fires before any woken thread dispatches; callbacks
             # that chain new timers due at this same instant join the drain
-            # (the re-pop loop), matching the heap reference's semantics.
+            # (the re-pop loop).
             deadline = self.now + _INSTANT_EPSILON
             if timer_at is not None and timer_at <= deadline:
                 fired = 0

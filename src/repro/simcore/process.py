@@ -182,7 +182,6 @@ class SimThread:
         "started_at",
         "finished_at",
         "_joiners",
-        "_send",
         "_on_core",
         "_finish_virtual",
     )
@@ -204,10 +203,6 @@ class SimThread:
         self.started_at: float = 0.0
         self.finished_at: Optional[float] = None
         self._joiners: list["SimThread"] = []
-        #: ``gen.send`` pre-bound at spawn: the engine resumes this thread
-        #: up to a million times per run, and the two-attribute lookup per
-        #: resume is measurable on the flat-core fast path.
-        self._send = gen.send
         #: Core-owned placement bookkeeping (set by Core.add, cleared on
         #: segment completion): which core holds this thread's active
         #: segment, and the virtual-clock instant it finishes.  Storing

@@ -144,12 +144,10 @@ def test_scalar_estimate_path_matches_vectorized(result_pair):
     assert diff_results(a, scalar) == []
 
 
-def test_event_core_flip_matches_baseline_bit_for_bit(result_pair):
-    """The heap reference event core reproduces the wheel run exactly
-    (the (when, seq) ordering contract behind the tentpole)."""
-    wheel, _ = result_pair
-    heap = run_once(
-        zcu102(n_cpu=3, n_fft=1), TINY, "api", 200.0, "eft", seed=2,
-        config=RuntimeConfig(scheduler="eft", execute_kernels=False).with_event_core("heap"),
-    )
-    assert_identical([[wheel], [heap]], ["wheel", "heap"])
+@pytest.mark.parametrize("variant", ["event_core", "core_impl"])
+def test_diff_run_rejects_removed_engine_variants(variant):
+    """The simulator has one engine, so there is no engine pairing left
+    to run: the old variant names are unknown like any other."""
+    with pytest.raises(KeyError, match="unknown oracle variant"):
+        diff_run(zcu102(n_cpu=3, n_fft=1), TINY, "api", [200.0], "etf",
+                 variants=(variant,))

@@ -12,7 +12,7 @@ from repro.runtime import (
     CedrRuntime,
     RuntimeConfig,
 )
-from repro.sched import PAPER_SCHEDULERS
+from repro.sched import paper_schedulers
 
 
 def tiny_dag_program(data):
@@ -50,7 +50,7 @@ def expected(data):
     return np.fft.ifft(np.fft.fft(data) ** 2)
 
 
-@pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", paper_schedulers())
 def test_dag_mode_executes_correctly(scheduler, data, expected):
     rt = build_runtime(scheduler)
     app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
@@ -62,7 +62,7 @@ def test_dag_mode_executes_correctly(scheduler, data, expected):
     assert app.tasks_done == app.tasks_total == 4
 
 
-@pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
+@pytest.mark.parametrize("scheduler", paper_schedulers())
 def test_api_mode_executes_correctly(scheduler, data, expected):
     rt = build_runtime(scheduler)
     app = AppInstance(name="t", mode=API_MODE, frame_mb=0.1,
@@ -241,30 +241,21 @@ def test_sched_period_ablation_knob(data):
 # simulator event core plumbing
 # --------------------------------------------------------------------- #
 
-def test_event_core_config_reaches_engine_and_counters(data, expected):
-    rt = build_runtime(event_core="heap")
-    assert rt.engine.event_core == "heap"
+def test_event_core_stats_in_perf_snapshot(data, expected):
+    rt = build_runtime()
     app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
     rt.submit(app, at=0.0)
     rt.seal()
     rt.run()
     assert np.allclose(app.state["y"], expected, atol=1e-8)
     snap = rt.counters.snapshot()["event_core"]
-    assert snap["kind"] == "heap"
+    assert set(snap) == {
+        "late_timers", "timers_fired", "drain_batches", "mean_batch",
+        "occupancy_hwm",
+    }
     assert snap["timers_fired"] > 0
-    assert snap["overflow_spills"] == 0  # heaps cannot spill
     assert snap["occupancy_hwm"] >= 1
     assert snap["late_timers"] == 0
-
-
-def test_wheel_event_core_stats_in_perf_snapshot(data):
-    rt = build_runtime()  # default config: wheel
-    app = AppInstance(name="t", mode=DAG_MODE, frame_mb=0.1, dag=tiny_dag_program(data))
-    rt.submit(app, at=0.0)
-    rt.seal()
-    rt.run()
-    snap = rt.counters.snapshot()["event_core"]
-    assert snap["kind"] == "wheel"
     assert snap["drain_batches"] > 0
     assert snap["mean_batch"] >= 1.0
 

@@ -61,16 +61,6 @@ def test_run_scenario_bit_identical_to_flag_path():
     )
 
 
-def test_run_scenario_flat_core_bit_identical():
-    """A scenario with [engine] core_impl = "flat" reproduces the objects
-    run exactly - the scenario-kind leg of the core_impl identity proof."""
-    import dataclasses
-
-    objects = run_scenario(_spec())
-    flat = run_scenario(dataclasses.replace(_spec(), core_impl="flat"))
-    assert_identical([objects, flat], ["objects", "flat"])
-
-
 def test_run_scenario_shares_cache_with_flag_path(tmp_path):
     # the scenario builds equal cell tuples, so a flag-driven sweep warms
     # the cache for the declarative one - content addressing is free

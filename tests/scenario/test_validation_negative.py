@@ -45,9 +45,6 @@ UNKNOWN_NAMES = [
         "transient",
         id="fault-kind",
     ),
-    pytest.param(
-        _doc(engine={"event_core": "wheeel"}), "wheel", id="event-core"
-    ),
 ]
 
 
@@ -85,7 +82,7 @@ UNKNOWN_KEYS = [
         _doc(scheduler={"nam": "etf"}), "name", id="scheduler-key"
     ),
     pytest.param(
-        _doc(engine={"event_cor": "wheel"}), "event_core", id="engine-key"
+        _doc(engine={"audti": True}), "audit", id="engine-key"
     ),
     pytest.param(
         _doc(telemetry={"interval": 0.1}), "interval_s", id="telemetry-key"
@@ -111,6 +108,19 @@ def test_unknown_key_suggests_the_spelling(doc, suggestion):
     message = str(ei.value)
     assert "unknown key" in message
     assert f"did you mean {suggestion!r}?" in message
+
+
+@pytest.mark.parametrize("key,value", [
+    ("event_core", "heap"), ("core_impl", "objects"),
+])
+def test_removed_engine_keys_are_unknown(key, value):
+    """The simulator has one engine: ``[engine]`` accepts only ``audit``,
+    and a spec still naming an engine implementation fails validation."""
+    with pytest.raises(ScenarioError) as ei:
+        ScenarioSpec.from_mapping(_doc(engine={key: value}), source="<test>")
+    message = str(ei.value)
+    assert f"unknown key(s) {key!r}" in message
+    assert "allowed: audit" in message
 
 
 def test_unknown_serve_keys():

@@ -1,17 +1,23 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.simcore import (
+    AcquireDevice,
     Block,
     Compute,
+    Condition,
     Core,
     Engine,
+    Mutex,
     SimDeadlock,
     SimStateError,
     SimTimeError,
     Sleep,
     ThreadState,
+    UseDevice,
     Yield,
 )
 
@@ -339,29 +345,26 @@ def test_core_utilization_reported():
 
 
 # --------------------------------------------------------------------- #
-# pluggable event cores
+# the timer queue
 # --------------------------------------------------------------------- #
 
-def test_engine_event_core_selection_and_env_default(monkeypatch):
-    assert Engine(cores=1).event_core == "wheel"  # repo default
-    assert Engine(cores=1, event_core="heap").event_core == "heap"
-    monkeypatch.setenv("REPRO_EVENT_CORE", "heap")
-    assert Engine(cores=1).event_core == "heap"
-    with pytest.raises(ValueError, match="unknown event core"):
-        Engine(cores=1, event_core="skiplist")
+def test_engine_event_core_and_core_impl_are_fixed():
+    eng = Engine(cores=1)
+    assert (eng.event_core, eng.core_impl) == ("heap", "objects")
+    assert (Engine.event_core, Engine.core_impl) == ("heap", "objects")
+    with pytest.raises(TypeError):
+        Engine(cores=1, event_core="heap")
 
 
-def test_set_event_core_migrates_pending_timers():
+def test_cancelled_timer_never_fires_and_ties_keep_schedule_order():
     eng = Engine(cores=1)
     hits = []
     eng.call_at(0.2, lambda: hits.append("b"))
     eng.call_at(0.1, lambda: hits.append("a"))
     eng.call_at(0.2, lambda: hits.append("c"))  # equal-when tie via seq
     cancelled = eng.call_at(0.15, lambda: hits.append("dead"))
-    eng.cancel_timer(cancelled)
-    eng.set_event_core("heap")
-    assert eng.event_core == "heap"
-    eng.set_event_core("heap")  # idempotent no-op
+    assert eng.cancel_timer(cancelled) is True
+    assert eng.cancel_timer(cancelled) is False
     eng.run()
     assert hits == ["a", "b", "c"]
     assert eng.now == pytest.approx(0.2)
@@ -375,7 +378,11 @@ def test_event_core_stats_schema_and_batching():
     eng.call_at(0.2, lambda: hits.append(eng.now))
     eng.run()
     stats = eng.event_core_stats()
-    assert stats["kind"] == "wheel"
+    assert set(stats) == {
+        "pending", "occupancy_hwm", "late_timers", "timers_fired",
+        "drain_batches", "mean_batch",
+    }
+    assert stats["pending"] == 0
     assert stats["timers_fired"] == 4
     assert stats["late_timers"] == 0
     assert stats["occupancy_hwm"] == 4
@@ -384,15 +391,227 @@ def test_event_core_stats_schema_and_batching():
     assert hits == [pytest.approx(0.1)] * 3 + [pytest.approx(0.2)]
 
 
-def test_heap_and_wheel_fire_identical_schedules():
-    """The same timer program produces the same fire sequence on both
-    event cores, including equal-instant tie-breaks."""
-    def drive(kind):
-        eng = Engine(cores=1, event_core=kind)
-        log = []
-        for i, when in enumerate([0.3, 0.1, 0.3, 0.2, 0.1]):
-            eng.call_at(when, lambda i=i: log.append((eng.now, i)))
-        eng.run()
-        return log
+def test_timer_chained_at_the_same_instant_joins_the_drain():
+    """A callback scheduling another timer for the instant being drained
+    fires it in the same batch, before any woken thread dispatches."""
+    eng = Engine(cores=1)
+    log = []
 
-    assert drive("heap") == drive("wheel")
+    def sleeper():
+        yield Sleep(0.1)
+        log.append(("thread", eng.now))
+
+    def first():
+        log.append(("first", eng.now))
+        eng.call_at(eng.now, lambda: log.append(("chained", eng.now)))
+
+    eng.spawn(sleeper(), "s")
+    eng.call_at(0.1, first)
+    eng.run()
+    assert [tag for tag, _ in log] == ["first", "chained", "thread"]
+    assert eng.event_core_stats()["drain_batches"] == 1
+
+
+# --------------------------------------------------------------------- #
+# run(until=) resumption, deadlock and exception exits
+# --------------------------------------------------------------------- #
+
+def _mixed_workload(engine):
+    """A workload touching every dispatch path: pinned + floating compute,
+    sleeps, mutex/condvar chains, zero-work requeues, yields, devices,
+    spinners, and one late ``call_at``."""
+    cores = engine.cores
+    cores[0].spinners = 1
+    mtx = Mutex(engine)
+    cv = Condition(mtx, signal_latency=1e-6)
+    shared = {"n": 0}
+
+    def worker(i):
+        r = random.Random(1000 + i)
+        for _ in range(30):
+            yield Compute(r.uniform(1e-6, 5e-4))
+            if r.random() < 0.3:
+                yield Sleep(r.uniform(1e-6, 1e-3))
+            if r.random() < 0.2:
+                yield from mtx.acquire()
+                shared["n"] += 1
+                if shared["n"] % 3 == 0:
+                    cv.notify_all()
+                mtx.release()
+            if r.random() < 0.1:
+                yield Compute(0.0)
+            if r.random() < 0.1:
+                yield Yield()
+        yield from mtx.acquire()
+        shared["n"] += 1
+        cv.notify_all()
+        mtx.release()
+        return i
+
+    def waiter():
+        for _ in range(4):
+            yield from mtx.acquire()
+            while shared["n"] < 8:
+                yield from cv.wait()
+            mtx.release()
+            yield Compute(2e-4)
+        # a stale timestamp: clamped to now and counted as late
+        engine.call_at(engine.now - 1e-3, lambda: None)
+        return "w"
+
+    threads = []
+    for i in range(10):
+        aff = cores[i % len(cores)] if i % 3 == 0 else None
+        threads.append(engine.spawn(worker(i), name=f"w{i}", affinity=aff))
+    threads.append(engine.spawn(waiter(), name="waiter"))
+
+    dev = engine.add_device("fft")
+
+    def devuser(i):
+        r = random.Random(77 + i)
+        for _ in range(12):
+            yield Compute(r.uniform(1e-6, 1e-4))
+            yield UseDevice(dev, r.uniform(1e-5, 1e-4))
+        yield AcquireDevice(dev)
+        yield Compute(1e-5)
+        dev.release(engine.current)
+        return "d"
+
+    for i in range(2):
+        threads.append(engine.spawn(devuser(i), name=f"d{i}"))
+    return threads
+
+
+def _snapshot(engine, threads):
+    """Exact observable state: floats as hex so a one-ulp drift fails."""
+    return dict(
+        now=engine.now.hex(),
+        events=engine.events_processed,
+        timers=engine.timers_fired,
+        late=engine.late_timers,
+        cpu=[t.cpu_time.hex() for t in threads],
+        states=[t.state.value for t in threads],
+        fin=[
+            (t.name, None if t.finished_at is None else t.finished_at.hex(), t.result)
+            for t in threads
+        ],
+        delivered=[c.delivered.hex() for c in engine.cores],
+        busy=[c.busy_time.hex() for c in engine.cores],
+        virt=[c._virtual.hex() for c in engine.cores],
+        heaps=[
+            sorted((e[0].hex(), e[2].name, e[3].hex()) for e in c._finish_heap)
+            for c in engine.cores
+        ],
+    )
+
+
+@pytest.mark.parametrize("ncores", [1, 4])
+def test_mixed_workload_is_deterministic(ncores):
+    snaps = []
+    for _ in range(2):
+        eng = Engine(cores=ncores, seed=7)
+        threads = _mixed_workload(eng)
+        eng.run()
+        snaps.append(_snapshot(eng, threads))
+    assert snaps[0] == snaps[1]
+    assert snaps[0]["late"] == 1
+    assert all(state == "finished" for state in snaps[0]["states"])
+
+
+def _stepped_trail(step):
+    eng = Engine(cores=3, seed=9)
+    threads = _mixed_workload(eng)
+    t, trail = 0.0, []
+    while any(th.alive for th in threads):
+        t += step
+        eng.run(until=t)
+        if any(th.alive for th in threads):
+            assert eng.now == t  # the clock stops exactly at ``until``
+        trail.append(_snapshot(eng, threads))
+    return threads, trail
+
+
+@pytest.mark.parametrize("step", [7.3e-4, 1.1e-5, 0.013])
+def test_until_stepping_resumes_where_it_stopped(step):
+    """run(until=...) hands a partial advance to _advance and resumes with
+    live heaps and pending timers.  Stepping is itself deterministic (every
+    intermediate snapshot repeats bit-for-bit), and it ends where the
+    uninterrupted run does: the same events, timers, late timers, results
+    and thread states, with float state equal up to the round-off of the
+    split advances."""
+    threads, trail = _stepped_trail(step)
+    assert _stepped_trail(step)[1] == trail
+
+    eng = Engine(cores=3, seed=9)
+    straight_threads = _mixed_workload(eng)
+    eng.run()
+    stepped = trail[-1]
+    straight = _snapshot(eng, straight_threads)
+    for key in ("events", "timers", "late", "states", "heaps"):
+        assert stepped[key] == straight[key], key
+    assert [f[2] for f in stepped["fin"]] == [f[2] for f in straight["fin"]]
+    assert float.fromhex(stepped["now"]) == pytest.approx(eng.now, rel=1e-12)
+    for key in ("cpu", "delivered", "busy", "virt"):
+        got = [float.fromhex(x) for x in stepped[key]]
+        want = [float.fromhex(x) for x in straight[key]]
+        assert got == pytest.approx(want, rel=1e-9), key
+
+
+def test_deadlock_exit_leaves_consistent_state():
+    def holder(mtx):
+        yield from mtx.acquire()
+        yield Sleep(10.0)
+
+    def victim(mtx):
+        yield Compute(1e-6)
+        yield from mtx.acquire()
+
+    eng = Engine(cores=1)
+    mtx = Mutex(eng)
+    h = eng.spawn(holder(mtx), name="holder")
+    v = eng.spawn(victim(mtx), name="victim")
+    with pytest.raises(SimDeadlock, match="1 thread\\(s\\) are blocked: victim"):
+        eng.run()
+    assert eng.now == pytest.approx(10.0)
+    assert h.state is ThreadState.FINISHED
+    assert v.state is ThreadState.BLOCKED
+    assert v.cpu_time == pytest.approx(1e-6)
+    assert eng.timers_fired == 1
+    assert all(not c._finish_heap for c in eng.cores)
+    assert eng.current is None
+    # a non-strict rerun reports the same state instead of raising
+    assert eng.run(strict=False) == pytest.approx(10.0)
+    assert eng.blocked_threads() == [v]
+
+
+def test_exception_escape_leaves_unresumed_threads_ready():
+    """A thread body raising mid-drain propagates out of run(); siblings
+    whose resume never ran stay on the ready queue, the culprit stays in
+    ``current``, and no core keeps a stale segment."""
+
+    class Boom(RuntimeError):
+        pass
+
+    def bomb():
+        yield Compute(1e-4)
+        raise Boom()
+
+    def burn_n(n, amount):
+        for _ in range(n):
+            yield Compute(amount)
+
+    eng = Engine(cores=1, seed=1)
+    b = eng.spawn(bomb(), name="bomb", affinity=eng.cores[0])
+    survivors = [
+        eng.spawn(burn_n(3, 1e-4), name=f"s{i}", affinity=eng.cores[0])
+        for i in range(3)
+    ]
+    with pytest.raises(Boom):
+        eng.run()
+    assert eng.now == pytest.approx(4e-4)
+    assert eng.current is b
+    assert [t.state for t in survivors] == [ThreadState.READY] * 3
+    assert [t.cpu_time for t in survivors] == [pytest.approx(1e-4)] * 3
+    assert [t for t, _ in eng._ready] == survivors
+    assert eng.cores[0]._finish_heap == []
+    assert all(t._on_core is None for t in survivors)

@@ -23,6 +23,8 @@ but vectorizes over states.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -76,13 +78,17 @@ def _as_bits(bits: np.ndarray, name: str = "bits") -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError(f"{name} must contain only 0/1 values")
     return arr.astype(np.uint8)
 
 
+# typed=True: a float seed must still fail in the shift below, not hit the
+# entry its equal int left behind
+@functools.lru_cache(maxsize=64, typed=True)
 def _lfsr_sequence(n: int, seed: int) -> np.ndarray:
-    """n outputs of the x^7 + x^4 + 1 LFSR starting from 7-bit *seed*."""
+    """n outputs of the x^7 + x^4 + 1 LFSR starting from 7-bit *seed*
+    (cached per ``(n, seed)``, hence read-only)."""
     if not 1 <= seed <= 127:
         raise ValueError(f"scrambler seed must be a nonzero 7-bit value, got {seed}")
     state = [(seed >> i) & 1 for i in range(7)]  # state[6] = MSB x^7 tap
@@ -91,6 +97,7 @@ def _lfsr_sequence(n: int, seed: int) -> np.ndarray:
         feedback = state[6] ^ state[3]
         out[i] = feedback
         state = [feedback] + state[:6]
+    out.flags.writeable = False
     return out
 
 
@@ -119,13 +126,15 @@ def conv_encode(bits: np.ndarray, terminate: bool = True) -> np.ndarray:
     padded = np.r_[np.zeros(_K - 1, np.uint8), b, np.zeros(tail, np.uint8)]
     n = b.size + tail  # data (+ tail)
     out = np.empty(2 * n, dtype=np.uint8)
+    if n == 0:  # nothing to encode; padded is shorter than one window
+        return out
     # window[t] holds bits [t .. t+K-1] oldest-first; generator taps are
     # evaluated with the newest bit at the LSB position, matching 802.11a.
     windows = np.lib.stride_tricks.sliding_window_view(padded, _K)[:n]
     weights = 1 << np.arange(_K - 1, -1, -1)
     states = windows @ weights  # newest bit is the low bit
-    out[0::2] = _parity(states & _G0)
-    out[1::2] = _parity(states & _G1)
+    out[0::2] = _PARITY[states & _G0]
+    out[1::2] = _PARITY[states & _G1]
     return out
 
 
@@ -136,6 +145,11 @@ def _parity(x: np.ndarray) -> np.ndarray:
         p ^= x & 1
         x >>= np.uint64(1)
     return p.astype(np.uint8)
+
+
+#: parity of every K-bit register value; generator taps index into it
+_PARITY = _parity(np.arange(1 << _K))
+_PARITY.flags.writeable = False
 
 
 def viterbi_decode(coded: np.ndarray, terminated: bool = True) -> np.ndarray:
@@ -161,8 +175,8 @@ def viterbi_decode(coded: np.ndarray, terminated: bool = True) -> np.ndarray:
     metrics[0] = 0.0
     backptr = np.empty((n_steps, n_states), dtype=np.int32)
     full = ((states[:, None] << 1) | np.array([0, 1])[None, :]) & ((1 << _K) - 1)
-    out0 = _parity(full & _G0).astype(np.float64)
-    out1 = _parity(full & _G1).astype(np.float64)
+    out0 = _PARITY[full & _G0].astype(np.float64)
+    out1 = _PARITY[full & _G1].astype(np.float64)
     next_state = full & (n_states - 1)
     for t in range(n_steps):
         r0, r1 = float(coded[2 * t]), float(coded[2 * t + 1])
@@ -221,13 +235,15 @@ def deinterleave(bits: np.ndarray, n_cbps: int | None = None) -> np.ndarray:
     return b.reshape(-1, n)[:, inv].reshape(-1)
 
 
+@functools.lru_cache(maxsize=64)
 def _interleave_perm(n_cbps: int) -> np.ndarray:
     """Output index -> input index permutation (first 802.11a permutation
-    generalized to any n_cbps divisible by 16)."""
+    generalized to any n_cbps divisible by 16); cached, hence read-only."""
     if n_cbps % 16:
         raise ValueError(f"n_cbps must be divisible by 16, got {n_cbps}")
     k = np.arange(n_cbps)
     i = (n_cbps // 16) * (k % 16) + k // 16
+    i.flags.writeable = False
     return i
 
 

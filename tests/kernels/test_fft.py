@@ -117,3 +117,88 @@ def test_accel_variants_enforce_pow2():
         F.fft_accel(np.zeros(10, dtype=complex))
     with pytest.raises(ValueError):
         F.ifft_accel(np.zeros(10, dtype=complex))
+
+
+@pytest.mark.parametrize("fn", [F.fft, F.ifft, F.fft_accel, F.ifft_accel])
+def test_zero_dim_input_rejected_with_shape(fn):
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        fn(np.float64(3.0))
+
+
+# --------------------------------------------------------------------- #
+# plans: bit-identity with the unplanned transform, read-only tables
+# --------------------------------------------------------------------- #
+
+def _unplanned_fft_core(x, inverse):
+    """The radix-2 transform as it was before plans, rebuilding the
+    bit-reversal permutation and every twiddle vector on each call.
+    Frozen as the bit-identity reference: keep it as it is."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    y = np.ascontiguousarray(x, dtype=np.complex128)[..., F.bit_reverse_indices(n)]
+    sign = 1.0 if inverse else -1.0
+    half = 1
+    lead = y.shape[:-1]
+    while half < n:
+        step = half * 2
+        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / step)
+        y = y.reshape(*lead, n // step, step)
+        even = y[..., :half]
+        odd = y[..., half:] * twiddle
+        y = np.concatenate((even + odd, even - odd), axis=-1).reshape(*lead, n)
+        half = step
+    if inverse:
+        y /= n
+    return y
+
+
+PLAN_SIZES = [1 << k for k in range(13)]  # 1 .. 4096
+LEADING_SHAPES = [(), (1,), (3,), (2, 3)]
+
+
+def _plan_input(rng, kind, shape):
+    if kind == "complex":
+        return random_complex(rng, shape)
+    if kind == "real":
+        return rng.normal(size=shape)
+    if kind == "int":  # small integers: exact zeros exercise signed-zero results
+        return rng.integers(-3, 4, size=shape)
+    # non-contiguous: the transpose of a C-ordered array of the reversed shape
+    return random_complex(rng, shape[::-1]).T
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["fft", "ifft"])
+@pytest.mark.parametrize("kind", ["complex", "real", "int", "transposed"])
+def test_planned_transform_is_bit_identical_to_unplanned(kind, inverse):
+    rng = np.random.default_rng(13)
+    transform = F.ifft if inverse else F.fft
+    for n in PLAN_SIZES:
+        for lead in LEADING_SHAPES:
+            x = _plan_input(rng, kind, (*lead, n))
+            expected = _unplanned_fft_core(x, inverse)
+            got = transform(x)
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), (n, lead)
+
+
+def test_plan_is_built_once_per_size_and_direction():
+    assert F._plan(64, False) is F._plan(64, False)
+    assert F._plan(64, False) is not F._plan(64, True)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_plan_arrays_are_read_only(inverse):
+    perm, twiddles = F._plan(256, inverse)
+    assert len(twiddles) == 8
+    for table in (perm, *twiddles):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_bit_reverse_indices_stays_fresh_and_writable(rng):
+    x = random_complex(rng, 128)
+    before = F.fft(x)  # builds the plan for n = 128
+    idx = F.bit_reverse_indices(128)
+    idx[:] = 0  # the caller's own copy: must not reach the cached plan
+    assert not np.array_equal(F.bit_reverse_indices(128), idx)
+    assert F.fft(x).tobytes() == before.tobytes()

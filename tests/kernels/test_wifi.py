@@ -188,3 +188,76 @@ def test_cyclic_prefix_bounds():
         wifi.add_cyclic_prefix(sym, 0)
     with pytest.raises(ValueError):
         wifi.add_cyclic_prefix(sym, 65)
+
+
+# --------------------------------------------------------------------- #
+# cached tables and input validation
+# --------------------------------------------------------------------- #
+
+def test_conv_encode_empty_payload():
+    for terminate, size in ((False, 0), (True, 2 * 6)):
+        coded = wifi.conv_encode(np.array([], np.uint8), terminate=terminate)
+        assert coded.dtype == np.uint8
+        assert coded.size == size
+    assert not wifi.conv_encode(np.array([], np.uint8)).any()  # tail is all zeros
+
+
+def test_parity_table_matches_the_loop():
+    values = np.arange(1 << wifi._K)
+    assert wifi._PARITY.dtype == np.uint8
+    assert np.array_equal(wifi._PARITY, wifi._parity(values))
+    assert wifi._PARITY.tolist() == [bin(v).count("1") % 2 for v in range(128)]
+
+
+def test_cached_tables_are_read_only():
+    for table in (wifi._PARITY, wifi._lfsr_sequence(64, 93), wifi._interleave_perm(128)):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([0, 1, 1], np.uint8),
+        np.array([0, 2], np.uint8),
+        np.array([True, False]),
+        np.array([0.0, 1.0]),
+        np.array([0.5, 1.0]),
+        np.array([np.nan, 1.0]),
+        np.array([2, 0]),
+        np.array([-1, 0]),
+        np.array([1 + 1j]),
+        np.array(["0", "1"]),
+        np.array(["a"]),
+        np.array([0, 1], dtype=object),
+        np.array([1.0, True], dtype=object),
+        np.array([0, "a"], dtype=object),
+        np.array([None, 1], dtype=object),
+        np.array([], np.uint8),
+        np.array([], np.float64),
+    ],
+    ids=lambda a: f"{a.dtype}:{a.tolist()}",
+)
+def test_as_bits_accepts_what_isin_accepted(bits):
+    isin_accepts = not bits.size or bool(np.isin(bits, (0, 1)).all())
+    try:
+        out = wifi._as_bits(bits)
+    except ValueError:
+        assert not isin_accepts
+    else:
+        assert isin_accepts
+        assert out.dtype == np.uint8 and out.shape == bits.shape
+
+
+def test_outputs_do_not_alias_cached_tables(rng):
+    bits = rng.integers(0, 2, 128).astype(np.uint8)
+    scrambled = wifi.scramble(bits)
+    interleaved = wifi.interleave(bits, 128)
+    expected_s, expected_i = scrambled.copy(), interleaved.copy()
+    scrambled ^= 1
+    interleaved ^= 1
+    assert np.array_equal(wifi.scramble(bits), expected_s)
+    assert np.array_equal(wifi.interleave(bits, 128), expected_i)
+    deinterleaved = wifi.deinterleave(expected_i, 128)
+    deinterleaved ^= 1
+    assert np.array_equal(wifi.deinterleave(expected_i, 128), bits)

@@ -3,17 +3,24 @@
 The paper's headline mechanism (Fig. 7) is scheduler decision cost at
 realistic queue depths, and full figure sweeps spend most of their
 wall-clock inside ``Scheduler.schedule``.  These benchmarks time single
-scheduling rounds over deep ready queues through the runtime's columnar
+scheduling rounds over deep ready queues through the runtime's
 :class:`~repro.platforms.timing.CostTable` - the exact configuration the
 daemon uses - and assert against the recorded trajectory in
-``baseline.json``: the vectorized ETF round must stay at least 3x the
-recorded pre-columnar (per-task Python loops) rate.  Set
-``REPRO_PERF_CHECK=0`` to skip the ratio check on slower hosts.
+``baseline.json``: the ETF round must stay at least 3x the recorded
+pre-columnar (per-task Python loops) rate.  Set ``REPRO_PERF_CHECK=0`` to
+skip the ratio check on slower hosts.
+
+Real workloads mostly run the other extreme: API-mode ready queues hold
+one task in nearly every round.  The depth-1 benchmarks time runs of
+consecutive one-task rounds on the Fig. 5 platform (3 CPU + 1 FFT) and the
+Fig. 10a platform (3 CPU + 8 FFT); they have no baseline entry and pin
+that the path real workloads take stays correct and runnable.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.platforms import zcu102
 from repro.platforms.timing import CostTable
@@ -81,3 +88,34 @@ def test_eft_round_throughput(benchmark):
     run, depth = _round_harness(256, "eft")
     assignments = benchmark(run)
     assert len(assignments) == depth
+
+
+def _depth1_harness(scheduler_name: str, n_fft: int, rounds: int = 64):
+    """(run callable, rounds per call) timing consecutive one-task rounds,
+    each on a backlog rebuilt at the round's instant as the daemon does."""
+    platform = zcu102(n_cpu=3, n_fft=n_fft).build(seed=0)
+    table = CostTable(platform.timing, platform.pes)
+    scheduler = SCHEDULERS.create(scheduler_name)
+    batches = [[task] for task in _ready_batch(rounds)]
+    pes = platform.pes
+
+    def run():
+        assignments = []
+        for k, batch in enumerate(batches):
+            now = 1e-4 * k
+            for pe in pes:
+                pe.expected_free = now
+            assignments += scheduler.schedule(batch, pes, now, table)
+        return assignments
+
+    return run, rounds
+
+
+@pytest.mark.parametrize("n_fft", (1, 8), ids=("zcu102-3c1f", "fig10a-3c8f"))
+@pytest.mark.parametrize("scheduler_name", ("rr", "heft_rt", "etf"))
+def test_depth1_rounds(benchmark, scheduler_name, n_fft):
+    """Consecutive one-task rounds: the API-mode regime (no baseline)."""
+    run, rounds = _depth1_harness(scheduler_name, n_fft)
+    assignments = benchmark(run)
+    assert len(assignments) == rounds
+    assert all(pe.supports(task.api) for task, pe in assignments)

@@ -11,7 +11,7 @@ Three surfaces over one invariant catalog:
   run, hooked into the daemon's dispatch path and the workers' completion
   path behind ``RuntimeConfig(audit=True)`` / ``repro run --audit``;
 * :mod:`repro.audit.oracle` - differential validation: paired
-  configurations (serial/jobs, cached/uncached, scalar/vectorized,
+  configurations (serial/jobs, cached/uncached, scalar/cost-table,
   telemetry on/off, audit on/off) that must produce bit-identical
   ``RunResult``s, exposed as ``repro audit diff``.
 """

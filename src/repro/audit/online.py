@@ -8,13 +8,10 @@ timestamps - the moment a scheduling bug corrupts a run, not three figures
 later.  At shutdown :meth:`final_check` replays the full offline catalog
 (:mod:`repro.audit.invariants`) over the finished run.
 
-Cost discipline: the per-round check memoizes verified support cells.  A
-round's batch draws from a handful of interned cost rows crossed with a
-handful of PEs, so after the first probe of each ``(cost_row, pe)`` cell
-against the cost table's support matrix, every later occurrence costs one
-set-membership test; the memo is invalidated wholesale whenever the table
-re-interns (its token moves).  The depth-128 audit-overhead benchmark pins
-the total at <= 10% of an ETF round
+Cost discipline: the per-round check is one token comparison and one
+probe of the cost table's interned support row per assignment - two list
+indexings, cheaper than any memo of verified cells.  The depth-128
+audit-overhead benchmark pins the total at <= 10% of an ETF round
 (``benchmarks/test_audit_overhead.py``).  Per-completion checks are O(1)
 set/array probes.  A runtime built without ``audit=True`` constructs no
 auditor and takes a single ``is None`` branch per hook, keeping disabled
@@ -24,8 +21,6 @@ runs byte-identical to the pre-audit runtime.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
 
 from .invariants import EPS, AuditReport, AuditViolation, audit_runtime
 
@@ -46,9 +41,6 @@ class OnlineAuditor:
         "_completed",
         "_pe_last_finish",
         "_pe_names",
-        "_n_pes",
-        "_ok_cells",
-        "_cells_token",
         "_last_round_t",
         "_finalized",
         "checks",
@@ -63,11 +55,6 @@ class OnlineAuditor:
         #: per-PE last completion instant - the overlap ledger.
         self._pe_last_finish = [0.0] * len(pes)
         self._pe_names = [pe.name for pe in pes]
-        self._n_pes = len(pes)
-        #: ``cost_row * n_pes + pe.index`` cells proven supported under
-        #: ``_cells_token`` - the support memo.
-        self._ok_cells: set[int] = set()
-        self._cells_token = -1
         self._last_round_t = 0.0
         self._finalized = False
         #: dispatch + completion checks performed (reported by ``--audit``).
@@ -105,12 +92,7 @@ class OnlineAuditor:
             return
         table = self._table
         token = table.token
-        if token != self._cells_token:
-            # the table re-interned: every memoized row id is stale
-            self._ok_cells.clear()
-            self._cells_token = token
-        ok_cells = self._ok_cells
-        n_pes = self._n_pes
+        support = table.support_lists
         for task, pe in assignments:
             if task.cost_token != token:
                 raise AuditViolation(
@@ -120,19 +102,14 @@ class OnlineAuditor:
                     f"estimates came from another table",
                     tid=task.tid, t=now,
                 )
-            cell = task.cost_row * n_pes + pe.index
-            if cell not in ok_cells:
-                if not table.support_cells(
-                    np.intp(task.cost_row), np.intp(pe.index)
-                ):
-                    raise AuditViolation(
-                        "pe-support",
-                        f"scheduler assigned {task.name} ({task.api}) to "
-                        f"{pe.name} ({pe.kind.value}), which does not "
-                        f"support it",
-                        tid=task.tid, pe=pe.name, t=now,
-                    )
-                ok_cells.add(cell)
+            if not support[task.cost_row][pe.index]:
+                raise AuditViolation(
+                    "pe-support",
+                    f"scheduler assigned {task.name} ({task.api}) to "
+                    f"{pe.name} ({pe.kind.value}), which does not "
+                    f"support it",
+                    tid=task.tid, pe=pe.name, t=now,
+                )
         if self._runtime.faults is not None:
             # quarantine honesty only matters once a fault model can pull
             # PEs from the live mask; fault-free runs skip the loop

@@ -2,14 +2,14 @@
 
 The sweep machinery promises that a run is a *pure function* of its cell
 tuple - which is what licenses the process pool, the content-addressed
-cache, the columnar scheduler fast paths, and telemetry's observe-only
+cache, the schedulers' interned-row rounds, and telemetry's observe-only
 contract.  This module tests that promise by construction: it runs the
 same (rate x trial) grid under paired configurations that must be
 indistinguishable -
 
 ``jobs``        serial vs ``--jobs`` process-pool sharding
 ``cache``       uncached vs cold-store vs warm-hit sweep cache
-``scalar``      scalar ``estimate(task, pe)`` vs vectorized columnar rounds
+``scalar``      scalar ``estimate(task, pe)`` vs cost-table row rounds
 ``telemetry``   telemetry off vs on (identical outside the snapshot field)
 ``audit``       online auditor off vs on
 ``scenario``    flag-driven sweep vs the equivalent declarative

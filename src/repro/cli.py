@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "over a saved run ('repro audit out/logbook.json'). "
                     "With the literal target 'diff': run one sweep under "
                     "paired configurations (serial vs --jobs, cached vs "
-                    "uncached, scalar vs vectorized estimates, telemetry "
+                    "uncached, scalar vs cost-table estimates, telemetry "
                     "on/off, audit on/off, and optionally flag-built "
                     "vs declarative scenario) and require bit-identical "
                     "results.",

@@ -239,23 +239,26 @@ _table_tokens = itertools.count()
 
 
 class CostTable:
-    """Columnar profile table: per-(api, params) rows of per-PE estimates.
+    """Profile table: per-(api, params) rows of per-PE estimates.
 
     Real CEDR consults static execution-time profiling tables; this is the
-    columnar analogue for the simulated schedulers.  Each unique
-    ``(api, params)`` shape is *interned* to a row id, and two parallel
-    arrays hold the row data:
+    analogue for the simulated schedulers.  Each unique ``(api, params)``
+    shape is *interned* to a row id, and two parallel lists of rows hold
+    the row data as plain Python lists:
 
-    * ``est[row]`` - float64 vector of :meth:`TimingModel.estimate` values
-      per PE, ``+inf`` where the PE kind does not support the API;
-    * ``support[row]`` - boolean vector of the (API, PE-kind) matrix.
+    * ``est_lists[row]`` - per-PE :meth:`TimingModel.estimate` values
+      (floats), ``+inf`` where the PE kind does not support the API;
+    * ``support_lists[row]`` - per-PE bools of the (API, PE-kind) matrix.
 
-    Batched gathers (:meth:`estimate_rows` / :meth:`support_rows`) feed the
-    vectorized scheduler rounds; the instance is also callable as a scalar
-    ``estimate(task, pe)`` so it plugs into the existing
-    :class:`~repro.sched.base.Scheduler` interface unchanged.  Values are
-    computed once per row by the scalar reference path, so both paths see
-    bit-identical floats.
+    Each row is built once as a NumPy vector and converted with
+    ``.tolist()``, so the lists hold exactly the doubles the scalar
+    reference path computes.  Scheduling rounds read whole interned rows
+    (:meth:`est_row` / :meth:`support_row`) - at the ready-queue depths of
+    real workloads (mostly one task, at most a dozen PEs) a Python list
+    scan beats NumPy's per-call dispatch.  The rows are shared: callers
+    must never write into them.  The instance is also callable as a scalar
+    ``estimate(task, pe)`` so it plugs into the
+    :class:`~repro.sched.base.Scheduler` interface unchanged.
 
     Row ids are cached on the tasks themselves (``task.cost_row``), guarded
     by a per-table token (``task.cost_token``) so a task interned by one
@@ -278,9 +281,8 @@ class CostTable:
         self.token = next(_table_tokens)
         self._row_ids: dict[tuple, int] = {}
         self.n_rows = 0
-        cap = 16
-        self._est = np.full((cap, self.n_pes), np.inf)
-        self._support = np.zeros((cap, self.n_pes), dtype=bool)
+        self.est_lists: list[list[float]] = []
+        self.support_lists: list[list[bool]] = []
 
     # -- interning ------------------------------------------------------- #
 
@@ -293,17 +295,15 @@ class CostTable:
         return row
 
     def _add_row(self, api: str, params: Mapping[str, float], key: tuple) -> int:
-        row = self.n_rows
-        if row == len(self._est):
-            grown_est = np.full((2 * row, self.n_pes), np.inf)
-            grown_est[:row] = self._est
-            grown_sup = np.zeros((2 * row, self.n_pes), dtype=bool)
-            grown_sup[:row] = self._support
-            self._est, self._support = grown_est, grown_sup
+        est = np.full(self.n_pes, np.inf)
+        support = np.zeros(self.n_pes, dtype=bool)
         for j, pe in enumerate(self.pes):
             if pe.supports(api):
-                self._support[row, j] = True
-                self._est[row, j] = self.timing.estimate(api, params, pe)
+                support[j] = True
+                est[j] = self.timing.estimate(api, params, pe)
+        row = self.n_rows
+        self.est_lists.append(est.tolist())
+        self.support_lists.append(support.tolist())
         self.n_rows += 1
         self._row_ids[key] = row
         return row
@@ -315,52 +315,33 @@ class CostTable:
             task.cost_token = self.token
         return task.cost_row
 
-    def rows_for(self, tasks: Sequence) -> np.ndarray:
-        """Row-id vector for a ready batch (interning as needed)."""
-        task_row = self.task_row
-        return np.fromiter(
-            (task_row(t) for t in tasks), dtype=np.intp, count=len(tasks)
-        )
+    # -- row access (what scheduling rounds read) ------------------------- #
 
-    # -- batched access (the vectorized scheduler fast path) -------------- #
+    def est_row(self, task) -> list[float]:
+        """Interned per-PE estimates of *task* (shared; do not mutate)."""
+        return self.est_lists[self.task_row(task)]
 
-    def estimate_rows(self, tasks: Sequence) -> np.ndarray:
-        """(n, p) float64 estimates for a ready batch; +inf = unsupported."""
-        return self._est[self.rows_for(tasks)]
-
-    def support_rows(self, tasks: Sequence) -> np.ndarray:
-        """(n, p) boolean support mask for a ready batch."""
-        return self._support[self.rows_for(tasks)]
-
-    def support_row(self, task) -> np.ndarray:
-        """(p,) boolean support vector of one task (a read-only view)."""
-        return self._support[self.task_row(task)]
-
-    def support_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Element-wise support probe: ``support[rows[i], cols[i]]``.
-
-        One fancy-indexed gather - the online auditor validates a whole
-        round's (task row, PE column) pairs at vector speed with it.
-        """
-        return self._support[rows, cols]
+    def support_row(self, task) -> list[bool]:
+        """Interned per-PE support flags of *task* (shared; do not mutate)."""
+        return self.support_lists[self.task_row(task)]
 
     def mean_estimate(self, api: str, params: Mapping[str, float]) -> float:
         """Mean estimate over supporting PEs (HEFT_RT rank seed)."""
         row = self.row(api, params)
-        sup = self._support[row]
+        sup = np.array(self.support_lists[row], dtype=bool)
         if not sup.any():
             raise ValueError(f"no PE supports API {api!r}")
-        return float(np.mean(self._est[row][sup]))
+        return float(np.mean(np.array(self.est_lists[row])[sup]))
 
     # -- scalar reference path ------------------------------------------- #
 
     def lookup(self, task, pe_index: int) -> float:
-        """Scalar estimate by PE index (one array probe once interned)."""
-        return float(self._est[self.task_row(task), pe_index])
+        """Scalar estimate by PE index (one list probe once interned)."""
+        return self.est_lists[self.task_row(task)][pe_index]
 
     def __call__(self, task, pe: PE) -> float:
         """EstimateFn-compatible scalar form used by the schedulers."""
-        return float(self._est[self.task_row(task), pe.index])
+        return self.est_lists[self.task_row(task)][pe.index]
 
 
 def zcu102_timing() -> TimingModel:

@@ -114,7 +114,7 @@ class RuntimeConfig:
     #: keeps the hot paths on one ``is None`` test each.
     audit: bool = False
     #: force the schedulers onto the scalar ``estimate(task, pe)`` reference
-    #: path instead of the columnar batched gathers.  Same floats by
+    #: path instead of the cost table's interned rows.  Same floats by
     #: construction (rows are priced by the scalar path) - this knob exists
     #: so the differential oracle can *prove* it per run.
     scalar_estimates: bool = False

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import and_
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
@@ -77,13 +78,13 @@ __all__ = ["CedrRuntime", "RunMetrics", "EventQueue"]
 
 
 class _ScalarEstimate:
-    """Columnar-interface-free view of a :class:`CostTable`.
+    """Row-interface-free view of a :class:`CostTable`.
 
-    Schedulers probe their ``estimate`` argument for ``estimate_rows`` /
-    ``support_rows`` and take the vectorized fast path when present; this
+    Schedulers probe their ``estimate`` argument for ``est_row`` /
+    ``support_row`` and read the table's interned rows when present; this
     wrapper hides both, forcing the scalar ``estimate(task, pe)`` reference
     path (``RuntimeConfig.scalar_estimates`` - the differential oracle's
-    scalar-vs-vectorized pairing).  Same table, same interned rows, same
+    scalar-vs-table pairing).  Same table, same interned rows, same
     floats.
     """
 
@@ -197,13 +198,13 @@ class CedrRuntime:
         self._last_round_at = -float("inf")
         self._round_timer_pending = False
         self._round_due = False
-        #: columnar profile table: every task shape is interned to a row of
-        #: per-PE estimates when the task first enters the ready queue, and
-        #: the schedulers' batched helpers gather whole rounds from it.  The
-        #: table doubles as the scalar estimate(task, pe) callable.
+        #: profile table: every task shape is interned to a row of per-PE
+        #: estimates when the task first enters the ready queue, and the
+        #: schedulers' round helpers read those rows directly.  The table
+        #: doubles as the scalar estimate(task, pe) callable.
         self.cost_table = CostTable(platform.timing, platform.pes)
-        #: what the schedulers see: the table itself (columnar fast paths)
-        #: or a wrapper that forces the scalar reference path.
+        #: what the schedulers see: the table itself (interned rows) or a
+        #: wrapper that forces the scalar reference path.
         self._sched_estimate = (
             _ScalarEstimate(self.cost_table)
             if config.scalar_estimates
@@ -391,7 +392,7 @@ class CedrRuntime:
         return Compute(seconds)
 
     def _estimate(self, task: Task, pe: PE) -> float:
-        """Profiled execution estimate: one columnar-table probe.
+        """Profiled execution estimate: one cost-table probe.
 
         Workloads repeat identical kernel shapes thousands of times; the
         interned row matches how real CEDR consults a static profiling
@@ -659,8 +660,8 @@ class CedrRuntime:
         """
         pes = self.platform.pes
         table = self.cost_table
-        live = np.fromiter((pe.available for pe in pes), dtype=bool, count=len(pes))
-        alive = np.fromiter((not pe.dead for pe in pes), dtype=bool, count=len(pes))
+        live = [pe.available for pe in pes]
+        alive = [not pe.dead for pe in pes]
         runnable: list[Task] = []
         for task in batch:
             app = self.apps[task.app_id]
@@ -668,11 +669,12 @@ class CedrRuntime:
                 yield from self._drop_task(task)
                 continue
             # support is one interned-table row; quarantine/death triage is
-            # a mask-row AND instead of rebuilding supporter lists per task
+            # a pairwise AND with the live/alive flags instead of
+            # rebuilding supporter lists per task
             support = table.support_row(task)
-            if (support & live).any():
+            if any(map(and_, support, live)):
                 runnable.append(task)
-            elif (support & alive).any():
+            elif any(map(and_, support, alive)):
                 self._parked.append(task)
             else:
                 yield from self._task_lost(task)

@@ -14,20 +14,25 @@ matter for reproducing the paper:
 
 Estimates come from the daemon as an ``estimate(task, pe)`` callable backed
 by the platform timing model - the runtime analogue of CEDR's offline
-profiling tables.  When that callable additionally exposes the *columnar*
-interface of :class:`~repro.platforms.timing.CostTable`
-(``estimate_rows(batch)`` / ``support_rows(batch)`` returning ``(n, p)``
-ndarrays), the batched helpers below gather whole rounds as NumPy arrays
-and the heuristics lose their per-task Python inner loops; a plain callable
-falls back to the scalar reference path with identical results.
+profiling tables.  The round helpers below (:func:`candidate_mask`,
+:func:`estimate_matrix`, :func:`free_vector`, :func:`greedy_earliest_finish`)
+work on one Python list per task, one entry per PE.  When the callable is a
+:class:`~repro.platforms.timing.CostTable` (it exposes ``est_row(task)`` /
+``support_row(task)``), those lists are the table's interned rows, handed
+out without a copy whenever no fault mask edits them - so a round never
+writes into a row it did not build.  A plain callable builds the same
+lists by calling ``estimate`` on candidate cells only, with identical
+results.  Lists rather than ``(n, p)`` arrays because rounds are shallow:
+ready queues of real workloads hold one task in nearly every round and
+platforms have at most a dozen PEs, where NumPy's per-call dispatch costs
+far more than the arithmetic.
 """
 
 from __future__ import annotations
 
 import abc
+from operator import and_
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.registry import Registry
 
@@ -120,60 +125,56 @@ class Scheduler(abc.ABC):
 
 def candidate_mask(
     ready: Sequence["Task"], pes: Sequence["PE"], estimate: EstimateFn
-) -> np.ndarray:
-    """(n, p) boolean candidate matrix with :meth:`Scheduler.compatible`
-    semantics, built in one pass per round.
+) -> list[list[bool]]:
+    """Per-task candidate rows (one bool per PE) with
+    :meth:`Scheduler.compatible` semantics, built in one pass per round.
 
     Three filters compose exactly as in ``compatible`` - support matrix,
     fault-subsystem availability, retry bans with the better-a-suspect-PE
     fallback - and the same :class:`SchedulerError` cases are raised.  With
-    a columnar estimate provider the support rows are one table gather;
-    otherwise support vectors are memoized per API within the round, so the
-    scalar fallback also stops paying a set rebuild per ready task.
+    a cost table the support rows are its interned rows, returned as they
+    are when every PE is live and no task has bans; a filter that removes
+    a candidate builds a new list instead.  A plain callable memoizes
+    support rows per API within the round.
     """
-    n, p = len(ready), len(pes)
-    support_rows = getattr(estimate, "support_rows", None)
-    if support_rows is not None:
-        cand = support_rows(ready)
+    support_row = getattr(estimate, "support_row", None)
+    if support_row is not None:
+        cand = [support_row(task) for task in ready]
     else:
-        cand = np.empty((n, p), dtype=bool)
-        by_api: dict[str, np.ndarray] = {}
-        for i, task in enumerate(ready):
+        by_api: dict[str, list[bool]] = {}
+        cand = []
+        for task in ready:
             row = by_api.get(task.api)
             if row is None:
-                row = np.fromiter(
-                    (pe.supports(task.api) for pe in pes), dtype=bool, count=p
-                )
-                by_api[task.api] = row
-            cand[i] = row
-    supported = cand.any(axis=1)
-    if not supported.all():
-        task = ready[int(np.argmin(supported))]
-        raise SchedulerError(
-            f"no PE supports API {task.api!r} (task {task.tid}); "
-            "check the platform's accelerator composition"
-        )
-    live = np.fromiter((pe.available for pe in pes), dtype=bool, count=p)
-    if not live.all():
-        cand = cand & live
-        alive = cand.any(axis=1)
-        if not alive.all():
-            task = ready[int(np.argmin(alive))]
+                row = by_api[task.api] = [pe.supports(task.api) for pe in pes]
+            cand.append(row)
+    for task, row in zip(ready, cand):
+        if True not in row:
             raise SchedulerError(
-                f"no live PE for API {task.api!r} (task {task.tid}); "
-                "the daemon should have parked this task until a PE revives"
+                f"no PE supports API {task.api!r} (task {task.tid}); "
+                "check the platform's accelerator composition"
             )
+    live = [pe.available for pe in pes]
+    if False in live:
+        for i, (task, row) in enumerate(zip(ready, cand)):
+            alive = list(map(and_, row, live))
+            if True not in alive:
+                raise SchedulerError(
+                    f"no live PE for API {task.api!r} (task {task.tid}); "
+                    "the daemon should have parked this task until a PE revives"
+                )
+            cand[i] = alive
     banned_cols: Optional[dict] = None
     for i, task in enumerate(ready):
         if task.banned_pes:
             if banned_cols is None:
                 banned_cols = {pe.index: j for j, pe in enumerate(pes)}
-            row = cand[i].copy()
+            row = list(cand[i])
             for index in task.banned_pes:
                 col = banned_cols.get(index)
                 if col is not None:
                     row[col] = False
-            if row.any():  # else: every candidate is banned - keep them all
+            if True in row:  # else: every candidate is banned - keep them all
                 cand[i] = row
     return cand
 
@@ -182,31 +183,40 @@ def estimate_matrix(
     ready: Sequence["Task"],
     pes: Sequence["PE"],
     estimate: EstimateFn,
-    mask: np.ndarray,
-) -> np.ndarray:
-    """(n, p) float64 estimates with ``+inf`` at every non-candidate cell.
+    mask: list[list[bool]],
+) -> list[list[float]]:
+    """Per-task estimate rows with ``+inf`` at every non-candidate cell.
 
-    The columnar path gathers interned table rows; the fallback calls the
-    scalar ``estimate`` exactly where the old per-task loops did (masked
-    cells only), so both paths produce bit-identical matrices.
+    With a cost table a task whose candidate row is its untouched support
+    row gets the interned estimate row itself (it already holds ``+inf``
+    exactly where support is False); a masked row gets a masked copy.  A
+    plain callable is called on candidate cells only, in PE order, so both
+    paths produce bit-identical rows.
     """
-    estimate_rows = getattr(estimate, "estimate_rows", None)
-    if estimate_rows is not None:
-        est = estimate_rows(ready)
-        return np.where(mask, est, np.inf)
-    est = np.full((len(ready), len(pes)), np.inf)
-    for i, task in enumerate(ready):
-        for j in np.flatnonzero(mask[i]):
-            est[i, j] = estimate(task, pes[j])
-    return est
+    inf = float("inf")
+    est_row = getattr(estimate, "est_row", None)
+    if est_row is not None:
+        support_row = estimate.support_row
+        rows = []
+        for task, cand in zip(ready, mask):
+            row = est_row(task)
+            if cand is not support_row(task):
+                row = [e if c else inf for e, c in zip(row, cand)]
+            rows.append(row)
+        return rows
+    rows = []
+    for task, cand in zip(ready, mask):
+        row = [inf] * len(pes)
+        for j, c in enumerate(cand):
+            if c:
+                row[j] = float(estimate(task, pes[j]))
+        rows.append(row)
+    return rows
 
 
-def free_vector(pes: Sequence["PE"], now: float) -> np.ndarray:
-    """(p,) vector of ``max(pe.expected_free, now)`` - round-start backlog."""
-    free = np.fromiter(
-        (pe.expected_free for pe in pes), dtype=np.float64, count=len(pes)
-    )
-    return np.maximum(free, now)
+def free_vector(pes: Sequence["PE"], now: float) -> list[float]:
+    """Per-PE ``max(pe.expected_free, now)`` - the round-start backlog."""
+    return [max(pe.expected_free, now) for pe in pes]
 
 
 def greedy_earliest_finish(
@@ -218,22 +228,24 @@ def greedy_earliest_finish(
     """Greedy earliest-finish assignment in the given task order.
 
     The EFT heuristic, shared with HEFT_RT (which is exactly this after a
-    rank sort).  The old per-task inner loop over candidate PEs is one
-    vectorized add + argmin per row of the batched estimate matrix;
-    excluded cells sit at ``+inf``, and argmin picks the first of equal
-    minima exactly as the scalar ``<`` scan did.  Commits update
-    ``pe.expected_free`` so later rows see the backlog.
+    rank sort).  Each task scans its estimate row for the PE minimizing
+    ``free[j] + est[j]``; excluded cells sit at ``+inf``, and the strict
+    ``<`` keeps the first of equal minima, as ``np.argmin`` would.
+    Commits update ``pe.expected_free`` so later tasks see the backlog.
     """
     if not ready:
         return []
     mask = candidate_mask(ready, pes, estimate)
     est = estimate_matrix(ready, pes, estimate, mask)
     free = free_vector(pes, now)
+    inf = float("inf")
     assignments = []
-    for i, task in enumerate(ready):
-        finish = free + est[i]
-        j = int(np.argmin(finish))
-        best = float(finish[j])
+    for task, row in zip(ready, est):
+        best, j = inf, 0
+        for jj, e in enumerate(row):
+            t = free[jj] + e
+            if t < best:
+                best, j = t, jj
         free[j] = best
         pe = pes[j]
         pe.expected_free = best

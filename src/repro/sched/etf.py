@@ -10,17 +10,15 @@ of milliseconds per application deciding, collapsing to ~1 ms/app under the
 API-based runtime whose queue holds only in-flight libCEDR calls.
 
 The *simulated* decision cost is charged analytically via
-:meth:`round_cost`; the *functional* selection below is vectorized with
-NumPy (estimate matrix + masked argmin per commitment) so simulating an
-ETF round over hundreds of ready tasks stays fast even though the modeled
+:meth:`round_cost`; the *functional* selection below scans equivalence
+classes of identical estimate rows instead of tasks, so simulating an ETF
+round over hundreds of ready tasks stays fast even though the modeled
 algorithm is O(q^2 x PEs).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 from .base import (
     EstimateFn,
@@ -36,7 +34,7 @@ __all__ = ["EarliestTaskFirst"]
 
 @register_scheduler
 class EarliestTaskFirst(Scheduler):
-    """O(ready^2 x PEs) pair scans per round (cost model); vectorized impl."""
+    """O(ready^2 x PEs) pair scans per round (cost model); class-scan impl."""
 
     name = "etf"
 
@@ -50,12 +48,12 @@ class EarliestTaskFirst(Scheduler):
         # Candidate cells honour the fault subsystem's availability and ban
         # masks (with the same ban fallback as Scheduler.compatible);
         # everything else stays +inf so the argmin never commits to an
-        # excluded PE.  One columnar gather replaces the old per-task loops.
+        # excluded PE.
         mask = candidate_mask(ready, pes, estimate)
         est = estimate_matrix(ready, pes, estimate, mask)
         free = free_vector(pes, now)
-        # Ready tasks collapse into equivalence classes with bitwise-equal
-        # estimate rows (shape interning keeps the count to a handful per
+        # Ready tasks collapse into equivalence classes with equal estimate
+        # rows (shape interning keeps the count to a handful per
         # round), and ETF's global pair scan only ever needs one
         # representative per class: identical rows share a finish vector, so
         # the flat argmin always lands on the class member with the lowest
@@ -66,22 +64,23 @@ class EarliestTaskFirst(Scheduler):
         # flat argmin over the full matrix exactly: commits within a class
         # go in queue order, and ties *across* classes fall to the class
         # whose head task sits earliest in the queue.
-        row_bytes = est.tobytes()
-        stride = est.itemsize * p
-        class_of: dict[bytes, int] = {}
+        # Interned rows are shared list objects, so classes are found by row
+        # identity first and by row values only once per distinct object
+        # (masked copies and equal rows of different shapes still merge).
+        class_of: dict[tuple, int] = {}
+        class_of_id: dict[int, int] = {}
         members: list[list[int]] = []
-        for i in range(n):
-            key = row_bytes[i * stride:(i + 1) * stride]
-            g = class_of.setdefault(key, len(members))
-            if g == len(members):
-                members.append([i])
-            else:
-                members[g].append(i)
+        for i, row in enumerate(est):
+            g = class_of_id.get(id(row))
+            if g is None:
+                g = class_of.setdefault(tuple(row), len(members))
+                class_of_id[id(row)] = g
+                if g == len(members):
+                    members.append([])
+            members[g].append(i)
         n_cls = len(members)
-        # plain Python lists from here: the per-commit state is a handful of
-        # scalars, where numpy's per-call overhead would dominate
-        gest = [est[m[0]].tolist() for m in members]
-        free_l = free.tolist()
+        gest = [est[m[0]] for m in members]
+        free_l = free
         heads = [m[0] for m in members]
         cursor = [0] * n_cls
         inf = float("inf")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .base import (
     EstimateFn,
     Scheduler,
@@ -42,18 +40,18 @@ class MinimumExecutionTime(Scheduler):
         mask = candidate_mask(ready, pes, estimate)
         est = estimate_matrix(ready, pes, estimate, mask)
         assignments = []
-        for i, task in enumerate(ready):
-            row = est[i]
-            best = float(row.min())
+        for task, row in zip(ready, est):
+            best = min(row)
             # excluded cells are +inf, so the epsilon tie-band only ever
-            # matches candidate PEs, in PE order like the old list filter
-            fastest = np.flatnonzero(row <= best * (1 + 1e-12))
+            # matches candidate PEs, in PE order
+            band = best * (1 + 1e-12)
+            fastest = [j for j, e in enumerate(row) if e <= band]
             cursor = self._cursor.get(best, 0)
-            j = int(fastest[cursor % len(fastest)])
+            j = fastest[cursor % len(fastest)]
             self._cursor[best] = cursor + 1
             pe = pes[j]
             assignments.append((task, pe))
-            pe.expected_free = max(pe.expected_free, now) + float(row[j])
+            pe.expected_free = max(pe.expected_free, now) + row[j]
         return assignments
 
     def round_cost(self, n_ready: int, n_pes: int) -> float:

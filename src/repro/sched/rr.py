@@ -29,16 +29,15 @@ class RoundRobin(Scheduler):
     def schedule(self, ready, pes: Sequence, now: float, estimate: EstimateFn):
         if not ready:
             return []
-        # One candidate matrix per round replaces the old per-task
-        # compatible() set rebuild; compatibility still composes the live
-        # support matrix *and* the fault subsystem's availability/ban masks,
-        # so a ZIP task skips over FFT accelerators and everything skips
+        # One candidate row per task (the cost table's interned support row
+        # when no fault mask applies); compatibility composes the support
+        # matrix *and* the fault subsystem's availability/ban masks, so a
+        # ZIP task skips over FFT accelerators and everything skips
         # quarantined or dead PEs exactly like CEDR's dispatch loop.
         mask = candidate_mask(ready, pes, estimate)
         assignments = []
         n = len(pes)
-        for i, task in enumerate(ready):
-            allowed = mask[i]
+        for task, allowed in zip(ready, mask):
             # advance the cursor until a compatible PE comes up
             for _ in range(n):
                 j = self._cursor % n

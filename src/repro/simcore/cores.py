@@ -24,10 +24,12 @@ O(1 + completions log n) instead of O(runnable).
 
 Because the per-thread rate is constant while the core's composition
 (runnable set + spinner count) is unchanged, the *absolute* wall-clock
-instant of the earliest completion is also constant.  Each core caches it
-(:meth:`Core.completion_at`) and invalidates only when a segment is added,
-a segment finishes, or the spinner count changes - the invalidation
-protocol the engine's advance loop relies on (see docs/INTERNALS.md,
+instant of the earliest completion is constant too, and so is the rate
+itself.  The engine recomputes both only for *dirty* cores: a core is
+marked dirty when a segment is added, a segment finishes, or the spinner
+count changes, and it then caches the rate on the core (``Core._rate``)
+and the instant in its :class:`CompletionIndex` - the invalidation
+protocol the engine's step relies on (see docs/INTERNALS.md,
 "Performance").
 
 Devices (FFT/MMULT accelerators, the GPU) are exclusive FIFO servers: one
@@ -45,34 +47,17 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from .errors import SimStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
     from .process import SimThread
 
-__all__ = ["Core", "CompletionIndex", "Device", "completion_instant"]
+__all__ = ["Core", "CompletionIndex", "Device"]
 
 #: Remaining-work threshold below which a compute segment counts as finished.
 #: Guards against float round-off leaving 1e-18 core-seconds of zombie work.
 WORK_EPSILON = 1e-12
-
-
-def completion_instant(core: "Core", now: float) -> Optional[float]:
-    """Absolute wall-clock instant of *core*'s earliest completion, or None.
-
-    The one authoritative copy of the virtual-time -> wall-time conversion:
-    ``Core.completion_at`` and ``CompletionIndex.refresh`` both derive their
-    instants from it.  The float operations (the per-thread rate from
-    :meth:`Core._per_thread_rate`, then one subtraction, one division, one
-    addition - in that order) are the bit-identity contract.
-    """
-    heap = core._finish_heap
-    if not heap:
-        return None
-    return now + (heap[0][0] - core._virtual) / core._per_thread_rate()
 
 
 class Core:
@@ -111,7 +96,7 @@ class Core:
         "_virtual",
         "_finish_heap",
         "_seq",
-        "_completion_at",
+        "_rate",
         "_completion_dirty",
         "_cidx",
         "_cpos",
@@ -146,14 +131,15 @@ class Core:
         #: the hot add/complete path never touches a dict.
         self._finish_heap: list[tuple[float, int, "SimThread", float]] = []
         self._seq = 0
-        #: cached absolute wall-clock instant of the earliest completion
-        #: (None = idle); valid while the runnable set and spinner count are
-        #: unchanged, recomputed lazily otherwise.
-        self._completion_at: Optional[float] = None
+        #: per-thread PS rate cached by the engine's refresh; valid while
+        #: the core is clean (``_completion_dirty`` False) and busy
+        self._rate = 0.0
+        #: set when the composition changes; the engine then recomputes
+        #: ``_rate`` and the cached completion instant
         self._completion_dirty = True
         #: back-reference into the engine's :class:`CompletionIndex` (None
         #: for standalone cores); the dirty-push half of the invalidation
-        #: protocol described on :meth:`completion_at`.
+        #: protocol.
         self._cidx: Optional["CompletionIndex"] = None
         self._cpos = 0
 
@@ -173,10 +159,10 @@ class Core:
             self._mark_completion_dirty()
 
     def _mark_completion_dirty(self) -> None:
-        """Invalidate the cached completion instant and notify the engine's
-        :class:`CompletionIndex` (dirty positions are pushed exactly once
-        per clean->dirty transition, so the index refresh touches only the
-        cores whose composition actually changed)."""
+        """Invalidate the cached rate and completion instant and notify
+        the engine's :class:`CompletionIndex` (dirty positions are pushed
+        exactly once per clean->dirty transition, so the engine's refresh
+        touches only the cores whose composition actually changed)."""
         if not self._completion_dirty:
             self._completion_dirty = True
             idx = self._cidx
@@ -226,34 +212,20 @@ class Core:
         ``k`` runnable threads, including busy-polling spinners in the share
         count and the context-switch penalty.
 
-        The one place this module computes the processor-sharing rate
-        ``speed / (k * (1 + cs_alpha * (k - 1)))``; the engine's inlined
-        advance loop mirrors it with the same float ops in the same order.
+        The one place the simulator computes the processor-sharing rate
+        ``speed / (k * (1 + cs_alpha * (k - 1)))``: :meth:`advance` calls
+        it directly, and the engine calls it once per composition change
+        and caches the result in ``_rate`` for its clock advances.
         """
         k = len(self._finish_heap) + self._spinners
         return self.speed / (k * (1.0 + self.cs_alpha * (k - 1)))
 
     def next_completion_in(self) -> Optional[float]:
-        """Wall-seconds until the earliest segment here finishes, or None.
-
-        Delegates to :func:`completion_instant` (relative form) so the
-        wall-time conversion exists in exactly one place."""
-        at = completion_instant(self, 0.0)
-        return None if at is None else at
-
-    def completion_at(self, now: float) -> Optional[float]:
-        """Cached absolute instant of the earliest completion (None = idle).
-
-        While the core's composition is unchanged the per-thread rate is
-        constant, so the earliest finish is a fixed wall-clock instant no
-        matter when it is queried; the cache is invalidated by :meth:`add`,
-        by completions inside :meth:`advance`, and by the ``spinners``
-        setter.
-        """
-        if self._completion_dirty:
-            self._completion_at = completion_instant(self, now)
-            self._completion_dirty = False
-        return self._completion_at
+        """Wall-seconds until the earliest segment here finishes, or None."""
+        heap = self._finish_heap
+        if not heap:
+            return None
+        return (heap[0][0] - self._virtual) / self._per_thread_rate()
 
     def advance(self, dt: float) -> list["SimThread"]:
         """Progress all runnable threads by ``dt`` wall-seconds.
@@ -303,91 +275,33 @@ class Core:
 class CompletionIndex:
     """Cached absolute completion instants for a fixed set of cores.
 
-    The engine's advance loop needs "when does the earliest compute segment
-    anywhere finish?" on every iteration, and the audit/introspection layer
-    needs the batched form "which cores complete at or before ``t``?".
-    Before this index both were per-core method calls; now each core's
-    cached :meth:`Core.completion_at` value is mirrored into one flat table
-    and only the *dirty* cores (those whose runnable set or spinner count
-    changed since the last query - pushed by
-    :meth:`Core._mark_completion_dirty`) are re-read.
-
-    Two mirrors of the same instants are kept deliberately:
-
-    * a plain Python list backing :meth:`min_at` - for the small core
-      counts of real platforms (3-8) a bound C-loop ``min`` over a list is
-      ~5-9x faster than ``ndarray.min()``'s ufunc dispatch, and ``min_at``
-      runs once per engine iteration;
-    * :attr:`instants` - a NumPy float array (``inf`` = idle core)
-      answering the vectorized :meth:`due` query in one comparison pass.
-      It is synced from the list lazily, on access: per-element ndarray
-      stores in the per-iteration refresh would cost more than the whole
-      refresh loop, and the batched query runs far less often than the
-      engine advances.
+    The engine needs "when does the earliest compute segment anywhere
+    finish?" on every step.  The index holds one instant per core in a
+    plain list (``inf`` = idle) plus the positions of the *dirty* cores -
+    those whose runnable set or spinner count changed since the engine
+    last looked, pushed once per clean->dirty transition by
+    :meth:`Core._mark_completion_dirty` and by the engine's inlined
+    ``Core.add``/``Core.advance``.  ``Engine.run`` refreshes the dirty
+    positions and takes a C-level ``min`` over the list inline; for the
+    small core counts of real platforms (3-12) that beats any vectorized
+    form.
 
     Attaching a core to a second index (e.g. sharing ``Core`` objects
     between two engines) re-points its back-reference; only the most
     recently attached index sees its invalidations.
     """
 
-    __slots__ = ("cores", "_instants_np", "_np_stale", "_instants_list", "_dirty")
+    __slots__ = ("cores", "_instants", "_dirty")
 
     def __init__(self, cores: Sequence[Core]) -> None:
         self.cores = list(cores)
         n = len(self.cores)
-        self._instants_np = np.full(n, np.inf)
-        self._np_stale = False
-        self._instants_list: list[float] = [math.inf] * n
+        self._instants: list[float] = [math.inf] * n
         self._dirty = list(range(n))
         for pos, core in enumerate(self.cores):
             core._cidx = self
             core._cpos = pos
             core._completion_dirty = True
-
-    def refresh(self, now: float) -> None:
-        """Re-read every dirty core's cached completion instant."""
-        dirty = self._dirty
-        if dirty:
-            cores = self.cores
-            lst = self._instants_list
-            for pos in dirty:
-                core = cores[pos]
-                # One shared recompute (completion_instant) instead of the
-                # old inlined copy of Core.completion_at: the two versions
-                # had drifted once already, and the call cost is paid only
-                # per *dirty* core per engine iteration.
-                if core._completion_dirty:
-                    core._completion_at = completion_instant(core, now)
-                    core._completion_dirty = False
-                at = core._completion_at
-                lst[pos] = math.inf if at is None else at
-            dirty.clear()
-            self._np_stale = True
-
-    @property
-    def instants(self) -> np.ndarray:
-        """Absolute completion instants, ``inf`` for idle cores (NumPy
-        view; call :meth:`refresh` first to fold in pending changes)."""
-        if self._np_stale:
-            self._instants_np[:] = self._instants_list
-            self._np_stale = False
-        return self._instants_np
-
-    def min_at(self, now: float) -> Optional[float]:
-        """Earliest completion instant across all cores (None = all idle)."""
-        self.refresh(now)
-        best = math.inf
-        for at in self._instants_list:
-            if at < best:
-                best = at
-        return None if best == math.inf else best
-
-    def due(self, t: float, now: Optional[float] = None) -> np.ndarray:
-        """Positions of every core whose earliest completion is ``<= t``:
-        one vectorized NumPy pass over the cached instants (``now``
-        defaults to ``t`` for the refresh)."""
-        self.refresh(t if now is None else now)
-        return np.nonzero(self.instants <= t)[0]
 
 
 class Device:

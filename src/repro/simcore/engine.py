@@ -23,16 +23,17 @@ Two structures keep the per-iteration bookkeeping cheap (docs/INTERNALS.md,
   (exact min maintenance on push/pop/cancel), so the main loop reads it
   without touching the queue at all.
 * compute completions are mirrored in a
-  :class:`~repro.simcore.cores.CompletionIndex`: each core caches the
-  absolute instant of its earliest completion and pushes its position on
-  invalidation, so the per-iteration "next completion anywhere" scan only
-  re-reads cores whose composition actually changed - see
-  :meth:`repro.simcore.cores.Core.completion_at`.
+  :class:`~repro.simcore.cores.CompletionIndex`: a core whose composition
+  changes pushes its position on a dirty list, and each step recomputes
+  only those cores - their per-thread PS rate (cached on the core as
+  ``Core._rate`` for the clock advance) and the absolute instant of their
+  earliest completion - before one ``min`` over the cached instants.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional, Sequence
@@ -283,19 +284,6 @@ class Engine:
     # main loop
     # ------------------------------------------------------------------ #
 
-    def _next_compute_completion(self) -> Optional[float]:
-        """Wall-seconds until the earliest compute completion on any core.
-
-        Reads the completion index (dirty cores only); kept for
-        introspection and tests - the main loop uses the same index in
-        absolute time.
-        """
-        at = self._completions.min_at(self.now)
-        return None if at is None else at - self.now
-
-    def _next_completion_at(self) -> Optional[float]:
-        return self._completions.min_at(self.now)
-
     def _advance(self, dt: float) -> None:
         if dt < 0:
             raise SimTimeError(f"attempted to advance time by {dt}")
@@ -308,12 +296,15 @@ class Engine:
             # Inlined Core.advance (which stays in cores.py for direct
             # callers; the virtual-time arithmetic must match it exactly):
             # the method call plus completed-list round trip costs more
-            # than the advance itself at high event rates.
+            # than the advance itself at high event rates.  The rate is
+            # the one ``run`` cached when it last refreshed this core; a
+            # busy core is always clean here, because every composition
+            # change since then would have marked it dirty and ``run``
+            # refreshes every dirty core before it advances the clock.
             heap = core._finish_heap
             n = len(heap)
             if n:
-                k = n + core._spinners
-                rate = core.speed / (k * (1.0 + core.cs_alpha * (k - 1)))
+                rate = core._rate
                 virtual = core._virtual + dt * rate
                 core._virtual = virtual
                 core.delivered += dt * rate * n
@@ -346,7 +337,10 @@ class Engine:
         """
         ready = self._ready
         timerq = self._timerq
-        completions = self._completions
+        cores = self._completions.cores
+        instants = self._completions._instants
+        dirty = self._completions._dirty
+        inf = math.inf
         ready_state = ThreadState.READY
         running_state = ThreadState.RUNNING
         # Least-loaded placement scans a copy of the floating pool sorted by
@@ -427,10 +421,30 @@ class Engine:
             self.current = None
             self._events_processed += events
 
+            # Refresh the cores whose composition changed since the last
+            # step, then take the earliest completion anywhere.  Per dirty
+            # core the rate is computed once (Core._per_thread_rate) and
+            # cached for _advance; the instant is
+            # ``now + (heap[0][0] - V) / rate`` - one subtraction, one
+            # division, one addition, in that order.  That float sequence
+            # is part of the bit-identity contract.
+            now = self.now
+            if dirty:
+                for pos in dirty:
+                    core = cores[pos]
+                    heap = core._finish_heap
+                    if heap:
+                        rate = core._per_thread_rate()
+                        core._rate = rate
+                        instants[pos] = now + (heap[0][0] - core._virtual) / rate
+                    else:
+                        instants[pos] = inf
+                    core._completion_dirty = False
+                dirty.clear()
+            compute_at = min(instants)
             timer_at = self._timer_next
-            compute_at = completions.min_at(self.now)
 
-            if timer_at is None and compute_at is None:
+            if timer_at is None and compute_at == inf:
                 # Only materialize the blocked-thread list when actually
                 # raising: this idle check runs on every engine return and
                 # a full thread scan here is pure overhead on the happy path.
@@ -444,17 +458,15 @@ class Engine:
                     )
                 return self.now
 
-            if timer_at is None:
+            if timer_at is None or compute_at < timer_at:
                 next_at = compute_at
-            elif compute_at is None:
-                next_at = timer_at
             else:
-                next_at = timer_at if timer_at <= compute_at else compute_at
+                next_at = timer_at
             if until is not None and next_at > until:
-                self._advance(until - self.now)
+                self._advance(until - now)
                 return self.now
 
-            self._advance(next_at - self.now)
+            self._advance(next_at - now)
             # Batched same-instant drain: every timer due at the reached
             # instant fires before any woken thread dispatches; callbacks
             # that chain new timers due at this same instant join the drain

@@ -166,3 +166,96 @@ def test_stale_row_from_another_table_reinterned():
     # and going back to A re-interns again rather than trusting B's stamp
     assert table_a.task_row(task) == row_a
     assert row_b == 0
+
+
+# -- shallow rounds: the depth real workloads run at ------------------------ #
+
+#: ban pattern per task in a shallow batch, cycled by position + offset
+_SHALLOW_BANS = ("first_cpu", "all_cpu", "all")
+
+
+def _shallow_rounds(sched_name: str, platform_key: str, scenario: str,
+                    n: int, columnar: bool):
+    """Consecutive n-task rounds through one scheduler instance, every
+    shape leading once; returns per-round (placements, expected_free)."""
+    instance = PLATFORMS[platform_key]().build(seed=0)
+    pes = instance.pes
+    if columnar:
+        estimate = CostTable(instance.timing, pes)
+    else:
+        timing = instance.timing
+
+        def estimate(task, pe):
+            return timing.estimate(task.api, task.params, pe)
+
+    if "quarantine" in scenario:
+        pes[-1].available = False
+        pes[1].available = False
+    cpu_idx = [pe.index for pe in pes if pe.kind is PEKind.CPU]
+    bans = {
+        "first_cpu": frozenset(cpu_idx[:1]),
+        "all_cpu": frozenset(cpu_idx),
+        "all": frozenset(pe.index for pe in pes),
+    }
+    scheduler = SCHEDULERS.create(sched_name)
+    # uneven round-start backlog so the max(expected_free, now) floor and
+    # the first-minimum tie rule both matter
+    pes[0].expected_free = 0.5004
+    rounds = []
+    for offset in range(len(_SHAPES)):
+        tasks = []
+        for i in range(n):
+            api, params = _SHAPES[(offset + i) % len(_SHAPES)]
+            task = Task(api=api, params=params, app_id=i, name=f"r{offset}t{i}")
+            task.rank = float((offset + 2 * i) % 3)
+            if "bans" in scenario:
+                task.banned_pes = bans[_SHALLOW_BANS[(offset + i) % 3]]
+            tasks.append(task)
+        now = 0.5 + 1e-4 * offset
+        out = scheduler.schedule(tasks, pes, now=now, estimate=estimate)
+        position = {id(t): i for i, t in enumerate(tasks)}
+        rounds.append((
+            [(position[id(task)], pe.index) for task, pe in out],
+            [pe.expected_free for pe in pes],
+        ))
+    return rounds
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("platform_key", sorted(PLATFORMS))
+@pytest.mark.parametrize("sched_name", SCHED_NAMES)
+def test_shallow_rounds_columnar_equals_scalar(sched_name, platform_key, scenario, n):
+    columnar = _shallow_rounds(sched_name, platform_key, scenario, n, columnar=True)
+    scalar = _shallow_rounds(sched_name, platform_key, scenario, n, columnar=False)
+    for k, (col, ref) in enumerate(zip(columnar, scalar)):
+        assert col[0] == ref[0], f"round {k}: assignment order/placement diverged"
+        assert col[1] == ref[1], f"round {k}: PE backlog accounting diverged"
+        assert len(col[0]) == n
+
+
+@pytest.mark.parametrize("n", (1, 2, 36))
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("sched_name", SCHED_NAMES)
+def test_rounds_never_mutate_interned_rows(sched_name, scenario, n):
+    """Rounds receive the table's interned rows without a copy; masking
+    for quarantine or bans must build new lists, never edit shared ones."""
+    instance = PLATFORMS["zcu102"]().build(seed=0)
+    pes = instance.pes
+    table = CostTable(instance.timing, pes)
+    tasks = _make_batch()
+    _apply_scenario(scenario, tasks, pes)
+    for task in tasks:
+        table.task_row(task)
+    tasks = tasks[:n]
+    est_rows, sup_rows = list(table.est_lists), list(table.support_lists)
+    est_vals = [list(r) for r in est_rows]
+    sup_vals = [list(r) for r in sup_rows]
+    scheduler = SCHEDULERS.create(sched_name)
+    for now in (0.5, 0.5, 0.75):
+        scheduler.schedule(tasks, pes, now=now, estimate=table)
+    assert table.n_rows == len(est_rows)
+    assert all(a is b for a, b in zip(table.est_lists, est_rows))
+    assert all(a is b for a, b in zip(table.support_lists, sup_rows))
+    assert [list(r) for r in table.est_lists] == est_vals
+    assert [list(r) for r in table.support_lists] == sup_vals

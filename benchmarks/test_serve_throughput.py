@@ -12,7 +12,13 @@ Unlike the optimization cells in ``baseline.json``, the serve cell is a
 regression *floor*: there is no pre/post pair, so ``required_speedup``
 is below 1 and the assertion reads "service mode must stay within 2x of
 the recorded rate".  ``REPRO_PERF_CHECK=0`` skips it.
+
+The window is timing-only, so every instance of an app shares one stand-in
+input: a host-independent count assertion fails the smoke if input
+synthesis ever returns to once per arrival.
 """
+
+import collections
 
 from repro.apps import PulseDoppler, WifiTx
 from repro.platforms import zcu102
@@ -20,8 +26,16 @@ from repro.runtime import CedrRuntime, RuntimeConfig
 from repro.serve import ArrivalSpec, ServeConfig, ServeDriver, TenantSpec
 
 
-def test_serve_sustained_throughput(benchmark, check_throughput):
+def test_serve_sustained_throughput(benchmark, check_throughput, monkeypatch):
     """Engine dispatch rate with the full service tier in the loop."""
+
+    synthesized: collections.Counter = collections.Counter()
+    for cls in (PulseDoppler, WifiTx):
+        def counted(self, rng, _original=cls.make_input):
+            synthesized[id(self)] += 1
+            return _original(self, rng)
+
+        monkeypatch.setattr(cls, "make_input", counted)
 
     serve = ServeConfig(
         tenants=(TenantSpec(
@@ -48,4 +62,6 @@ def test_serve_sustained_throughput(benchmark, check_throughput):
 
     events = benchmark(run)
     assert events > 10000
+    # at most one input per app, however many rounds the benchmark ran
+    assert len(synthesized) <= 2 and max(synthesized.values()) == 1
     check_throughput("serve_sustained_throughput", benchmark, events)

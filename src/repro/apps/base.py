@@ -17,12 +17,19 @@ fine-grained kernel invocations (e.g. individual 1024-point FFT rows) into
 one schedulable task; ``batch=1`` reproduces the paper's task granularity
 exactly while larger values keep big sweeps tractable - see DESIGN.md's
 scale note.
+
+Timing-only runs (``execute_kernels=False``) never read payload values:
+call costs depend on shapes alone.  :meth:`CedrApplication.stand_in_inputs`
+gives such runs one read-only input per application, built once, instead
+of a freshly synthesized frame per instance.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Generator, Literal, Optional
+import weakref
+from types import MappingProxyType
+from typing import Any, Generator, Literal, Mapping, Optional
 
 import numpy as np
 
@@ -32,6 +39,14 @@ from repro.runtime.app import API_MODE, DAG_MODE, AppInstance
 __all__ = ["CedrApplication", "Variant", "chunk_slices"]
 
 Variant = Literal["blocking", "nonblocking"]
+
+
+#: app -> its read-only stand-in input (see ``stand_in_inputs``).  Kept
+#: outside the app so the app's attributes stay its configuration only: the
+#: sweep cache keys apps by ``vars(app)`` and ``--jobs`` pickles them.
+_STAND_INS: weakref.WeakKeyDictionary[CedrApplication, Mapping[str, Any]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def chunk_slices(n: int, batch: int) -> list[slice]:
@@ -83,13 +98,15 @@ class CedrApplication(abc.ABC):
         mode: str,
         rng: np.random.Generator,
         variant: Optional[Variant] = None,
-        inputs: Optional[dict[str, Any]] = None,
+        inputs: Optional[Mapping[str, Any]] = None,
     ) -> AppInstance:
         """Create a submittable instance of this application.
 
         ``mode`` is ``"dag"`` or ``"api"``; ``variant`` defaults to the
         app's :attr:`default_variant`; fresh input data is synthesized from
-        *rng* unless *inputs* is supplied.
+        *rng* unless *inputs* is supplied.  Timing-only callers pass
+        ``inputs=self.stand_in_inputs()`` (and may pass ``rng=None``), so no
+        payload is synthesized and no RNG is drawn from.
         """
         variant = variant or self.default_variant
         inputs = inputs if inputs is not None else self.make_input(rng)
@@ -108,6 +125,24 @@ class CedrApplication(abc.ABC):
                 main_factory=main_factory,
             )
         raise ValueError(f"unknown mode {mode!r} (use 'dag' or 'api')")
+
+    def stand_in_inputs(self) -> Mapping[str, Any]:
+        """This app's shared input for timing-only runs, built on first use.
+
+        It is ``make_input(default_rng(0))`` behind a read-only mapping,
+        with every array made read-only, and the same object on every call:
+        a timing-only run reads only payload shapes, so one stand-in serves
+        every instance, and a path that wrote into it would raise instead
+        of leaking state from one instance into the next.
+        """
+        inputs = _STAND_INS.get(self)
+        if inputs is None:
+            made = self.make_input(np.random.default_rng(0))
+            for value in made.values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            inputs = _STAND_INS[self] = MappingProxyType(made)
+        return inputs
 
     # -- shared helpers ---------------------------------------------------- #
 

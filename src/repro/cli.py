@@ -500,18 +500,18 @@ def _cmd_run(args) -> int:
             telemetry_cfg = TelemetryConfig(sample_interval_s=args.metrics_interval)
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-    runtime = CedrRuntime(
-        platform,
-        RuntimeConfig(
-            scheduler=args.scheduler,
-            execute_kernels=not args.timing_only,
-            faults=faults,
-            telemetry=telemetry_cfg,
-            audit=args.audit,
-        ),
+    config = RuntimeConfig(
+        scheduler=args.scheduler,
+        execute_kernels=not args.timing_only,
+        faults=faults,
+        telemetry=telemetry_cfg,
+        audit=args.audit,
     )
+    runtime = CedrRuntime(platform, config)
     runtime.start()
-    for app, arrival in workload.instantiate(args.mode, args.rate, args.seed):
+    for app, arrival in workload.instantiate(
+        args.mode, args.rate, args.seed, execute=config.execute_kernels
+    ):
         runtime.submit(app, at=arrival)
     runtime.seal()
     runtime.run()

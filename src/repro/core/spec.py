@@ -27,6 +27,7 @@ implementations, so the two stay consistent by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -65,21 +66,29 @@ class ApiSpec:
     doc: str
 
 
+# The builders run on every libCEDR call, so they read ``shape`` straight
+# off ndarray operands (no ``asarray`` round trip) and keep every param a
+# Python int.
+
+
 def _fft_build(x: Any) -> tuple[dict, Any]:
-    arr = np.asarray(x)
-    n = arr.shape[-1]
-    batch = int(np.prod(arr.shape[:-1])) if arr.ndim > 1 else 1
-    return {"n": int(n), "batch": batch}, x
+    shape = x.shape if isinstance(x, np.ndarray) else np.shape(x)
+    if not shape:
+        raise ValueError(f"FFT input must have at least one axis, got shape {shape}")
+    return {"n": shape[-1], "batch": math.prod(shape[:-1])}, x
 
 
 def _zip_build(a: Any, b: Any) -> tuple[dict, Any]:
-    a = np.asarray(a)
-    return {"n": int(a.size)}, (a, b)
+    if not isinstance(a, np.ndarray):
+        a = np.asarray(a)
+    return {"n": a.size}, (a, b)
 
 
 def _gemm_build(a: Any, b: Any) -> tuple[dict, Any]:
-    a = np.asarray(a)
-    b = np.asarray(b)
+    if not isinstance(a, np.ndarray):
+        a = np.asarray(a)
+    if not isinstance(b, np.ndarray):
+        b = np.asarray(b)
     return {"m": a.shape[0], "k": a.shape[1], "n": b.shape[1]}, (a, b)
 
 

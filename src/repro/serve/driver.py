@@ -9,7 +9,10 @@ admission controller (:mod:`repro.serve.admission`) into
 the fault injector: exactly one pending arrival timer per tenant, re-armed
 after each firing.  Chains stop by construction at the configured duration
 (no arrival instant >= duration is ever scheduled), so - unlike the fault
-streams - no disarm step is needed for the engine to drain.
+streams - no disarm step is needed for the engine to drain.  The payload
+RNG exists only when the runtime executes kernels; a timing-only run hands
+every instance its app's read-only
+:meth:`~repro.apps.CedrApplication.stand_in_inputs`.
 
 Graceful drain protocol
 -----------------------
@@ -221,7 +224,10 @@ class _TenantRuntime:
     )
 
     def __init__(
-        self, spec: TenantSpec, stream: Iterator[float], payload_rng: np.random.Generator
+        self,
+        spec: TenantSpec,
+        stream: Iterator[float],
+        payload_rng: Optional[np.random.Generator],
     ) -> None:
         self.spec = spec
         self.stream = stream
@@ -246,6 +252,8 @@ class ServeDriver:
         self.runtime = runtime
         self.engine = runtime.engine
         self.serve = serve
+        #: timing-only runs hand every instance its app's stand-in input
+        self._execute = runtime.config.execute_kernels
         self.controller = AdmissionController(
             serve.admission, [(t.name, t.weight) for t in serve.tenants]
         )
@@ -255,7 +263,7 @@ class ServeDriver:
                 make_arrival_stream(
                     t.arrival, child_rng(seed, f"serve.arrivals.{t.name}")
                 ),
-                child_rng(seed, f"serve.apps.{t.name}"),
+                child_rng(seed, f"serve.apps.{t.name}") if self._execute else None,
             )
             for t in serve.tenants
         }
@@ -336,7 +344,8 @@ class ServeDriver:
     def _next_instance(self, state: _TenantRuntime):
         app = state.spec.apps[state.admit_seq % len(state.spec.apps)]
         state.admit_seq += 1
-        return app.make_instance(self.serve.mode, state.payload_rng)
+        inputs = None if self._execute else app.stand_in_inputs()
+        return app.make_instance(self.serve.mode, state.payload_rng, inputs=inputs)
 
     def _admit(
         self, tenant: str, instance: Any, offered_at: float, degraded: bool

@@ -101,14 +101,18 @@ class WorkloadSpec:
         return sum(e.count for e in self.entries)
 
     def instantiate(
-        self, mode: str, rate_mbps: float, seed: int
+        self, mode: str, rate_mbps: float, seed: int, *, execute: bool = True
     ) -> list[tuple[AppInstance, float]]:
         """Expand into (instance, arrival time) pairs for one run.
 
-        Input data is synthesized from a per-(seed, stream) RNG so trials
-        with different seeds see different noise/payloads but the same
-        structure; Poisson gaps draw from a separate per-stream stream so
-        arrival randomness never perturbs payload synthesis.
+        With ``execute`` (the run executes kernels), input data is
+        synthesized from a per-(seed, stream) RNG so trials with different
+        seeds see different noise/payloads but the same structure.  A
+        timing-only run (``execute=False``) reads payload shapes only, so
+        every instance of an app shares its read-only
+        :meth:`~repro.apps.CedrApplication.stand_in_inputs` and the payload
+        RNG is never drawn from.  Poisson gaps draw from a separate
+        per-stream stream, so arrival randomness never depends on either.
         """
         out: list[tuple[AppInstance, float]] = []
         for entry in self.entries:
@@ -131,9 +135,15 @@ class WorkloadSpec:
                     f"{entry.app.name!r} (finite trace shorter than the "
                     f"workload - add loop= or shrink the stream)"
                 )
-            rng = child_rng(seed, f"workload.{self.name}.{entry.app.name}")
-            for j, t in enumerate(arrivals):
-                inst = entry.app.make_instance(mode, rng, variant=entry.variant)
+            if execute:
+                rng = child_rng(seed, f"workload.{self.name}.{entry.app.name}")
+                inputs = None
+            else:
+                rng, inputs = None, entry.app.stand_in_inputs()
+            for t in arrivals:
+                inst = entry.app.make_instance(
+                    mode, rng, variant=entry.variant, inputs=inputs
+                )
                 out.append((inst, float(t)))
         out.sort(key=lambda pair: pair[1])
         return out

@@ -152,3 +152,20 @@ def test_wait_any_standalone_parity(rng):
     got_s = sorted([np.abs(s_first).sum(), np.abs(s_rest).sum()])
     got_r = sorted([np.abs(r_first).sum(), np.abs(r_rest).sum()])
     assert np.allclose(got_s, got_r, atol=1e-8)
+
+
+@pytest.mark.parametrize("api", ["fft", "ifft", "fft_nb", "ifft_nb"])
+def test_zero_d_fft_input_raises_the_same_error_in_both_modes(api):
+    scalar = np.complex128(1.0)
+    expected = "FFT input must have at least one axis, got shape ()"
+
+    def main(lib):
+        try:
+            yield from getattr(lib, api)(scalar)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    assert run_standalone(main) == expected
+    app, _ = run_api_app(main)
+    assert app.result == expected
